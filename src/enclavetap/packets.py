@@ -88,7 +88,11 @@ class ParsedPacket(NamedTuple):
 
 
 def parse_packet(frame: bytes) -> ParsedPacket | None:
-    """Parse an Ethernet/IPv4/{TCP,UDP} frame; None when not parseable."""
+    """Parse an Ethernet/IPv4/{TCP,UDP} frame; None when not parseable.
+
+    Only an unfragmented packet or the first fragment of one has an L4
+    header; a fragment at a non-zero offset is not parseable.
+    """
     if len(frame) < ETH_LEN + 20:
         return None
     if frame[12] != 0x08 or frame[13] != 0x00:
@@ -101,6 +105,8 @@ def parse_packet(frame: bytes) -> ParsedPacket | None:
     l4_off = ip_off + ihl
     if len(frame) < l4_off:
         return None
+    if (frame[ip_off + 6] & 0x1F) or frame[ip_off + 7]:
+        return None  # a non-first fragment carries no L4 header
     total_len = (frame[ip_off + 2] << 8) | frame[ip_off + 3]
     proto = frame[ip_off + 9]
     src_ip = frame[ip_off + 12 : ip_off + 16]

@@ -20,6 +20,13 @@ bound into both the AEAD nonce and the associated data together with the
 flow id, so a stale or transplanted ciphertext can never be swapped back
 in, and two seals of identical state never produce linkable ciphertexts.
 
+Swaps do constant-time bookkeeping. A trusted index maps every store cell's
+offset to its view, so addressing a sealed cell is one lookup; a locator
+that is not the start of a cell (such as a free-list link the untrusted side
+rewrote to point inside a cell) is rejected with ``AuthFailure``. Every
+lookup entry records the index of its slot in the table holding it, so a
+swap removes the victim and the incoming entry without re-probing a bucket.
+
 A manager instance is single-threaded by design: one instance per receive
 ring, no shared mutable state between instances. The state region returned
 by ``track`` stays valid until the next track/terminate/expire call on the
@@ -70,7 +77,7 @@ def make_hash_pair(seed: int) -> Callable[[bytes], tuple[int, int]]:
 
 
 class LkupEntry:
-    __slots__ = ("fid", "locator", "slot", "swap_count", "last_access", "h1", "h2")
+    __slots__ = ("fid", "locator", "slot", "swap_count", "last_access", "h1", "h2", "pos")
 
     def __init__(self, fid: bytes, h1: int, h2: int, swap_count: int):
         self.fid = fid
@@ -80,6 +87,7 @@ class LkupEntry:
         self.locator = 0
         self.slot: CacheSlot | None = None
         self.last_access = 0
+        self.pos = -1  # index of this entry's slot in the table holding it
 
 
 class NeedsResize(Exception):
@@ -91,7 +99,9 @@ class CuckooTable:
 
     Keys live in one of their two candidate buckets; inserts relocate via a
     bounded random-walk eviction chain. Entries cache their two hash values
-    so displacement and resizing never rehash.
+    so displacement and resizing never rehash, and record the index of the
+    slot holding them so a caller that has the entry removes it without
+    probing.
     """
 
     BUCKET = 4
@@ -145,6 +155,7 @@ class CuckooTable:
             for s in (b, b + 1, b + 2, b + 3):
                 if slots[s] is None:
                     slots[s] = entry
+                    entry.pos = s
                     return True
         return False
 
@@ -165,6 +176,7 @@ class CuckooTable:
         for _ in range(self.MAX_DISPLACEMENTS):
             h = cur.h1 if rng.random() < 0.5 else cur.h2
             s = ((h * nb) >> 48) * 4 + rng.randrange(4)
+            cur.pos = s
             cur, slots[s] = slots[s], cur
             if self._place(cur):
                 self.count += 1
@@ -183,6 +195,13 @@ class CuckooTable:
                     self.count -= 1
                     return e
         return None
+
+    def remove_entry(self, entry: LkupEntry) -> None:
+        """Remove an entry this table holds, by its recorded slot index."""
+        s = entry.pos
+        assert self.slots[s] is entry, "lookup entry is not at its recorded slot"
+        self.slots[s] = None
+        self.count -= 1
 
     def entries(self) -> Iterator[LkupEntry]:
         for e in self.slots:
@@ -315,9 +334,8 @@ class StateManager:
 
         # untrusted store pool threaded through a free list; head/tail trusted
         self._entry_size = state_size + MAC_LEN
-        self._pool_bases: list[int] = []
-        self._pool_views: list[memoryview] = []
-        self._pool_cells = 0
+        # trusted index of every store cell: cell offset -> view of that cell
+        self._cells: dict[int, memoryview] = {}
         self._store_head = 0
         self._store_tail = 0
         self._prealloc = store_prealloc if store_prealloc is not None else 2 * capacity
@@ -326,28 +344,24 @@ class StateManager:
     # ---------------------------------------------------------------- store pool
 
     def _grow_pool(self, entries: int) -> None:
-        region = self.env.alloc(ArenaKind.UNTRUSTED, entries * self._entry_size)
+        size = self._entry_size
+        region = self.env.alloc(ArenaKind.UNTRUSTED, entries * size)
         view = self.env.view(region)
-        self._pool_bases.append(region.base)
-        self._pool_views.append(view)
-        self._pool_cells += entries
+        cells = self._cells
         for i in range(entries):
-            self._freelist_push(region.base + i * self._entry_size)
+            off = region.base + i * size
+            cells[off] = view[i * size : (i + 1) * size]
+            self._freelist_push(off)
 
     def _store_view(self, off: int) -> memoryview:
-        from bisect import bisect_right
-
-        i = bisect_right(self._pool_bases, off) - 1
-        if i >= 0:
-            view = self._pool_views[i]
-            rel = off - self._pool_bases[i]
-            if rel + self._entry_size <= len(view):
-                return view[rel : rel + self._entry_size]
-        raise AuthFailure(f"store locator {off} outside any pool")
+        """The cell at ``off``; a locator that is not a cell start fails."""
+        try:
+            return self._cells[off]
+        except KeyError:
+            raise AuthFailure(f"store locator {off} is not the start of a store cell") from None
 
     def _freelist_push(self, off: int) -> None:
-        view = self._store_view(off)
-        view[0:8] = (0).to_bytes(8, "big")
+        self._store_view(off)[0:8] = (0).to_bytes(8, "big")
         if self._store_tail:
             self._store_view(self._store_tail)[0:8] = off.to_bytes(8, "big")
             self._store_tail = off
@@ -357,6 +371,8 @@ class StateManager:
     def _freelist_pop(self) -> int:
         off = self._store_head
         nxt = int.from_bytes(self._store_view(off)[0:8], "big")
+        if nxt:
+            self._store_view(nxt)  # the link is untrusted: it must name a cell
         self._store_head = nxt
         if nxt == 0:
             self._store_tail = 0
@@ -370,7 +386,7 @@ class StateManager:
         """
         if self._store_head == 0:
             self.env.crossing(False, 0)  # ask the untrusted side for more cells
-            self._grow_pool(max(self._prealloc, self._pool_cells))
+            self._grow_pool(max(self._prealloc, len(self._cells)))
             self.stats.store_grows += 1
         return self._freelist_pop()
 
@@ -466,7 +482,7 @@ class StateManager:
             stats.seals += 1
             stats.evictions += 1
             self._store_view(cell_off)[:] = ct
-            self.cache_table.remove(victim.fid, victim.h1, victim.h2)
+            self.cache_table.remove_entry(victim)
             victim.slot = None
             victim.locator = cell_off
             self._insert_with_resize("store", victim)
@@ -484,12 +500,12 @@ class StateManager:
             except AuthFailure:
                 stats.auth_failures += 1
                 # drop the flow: its lookup entry goes away, the slot stays free
-                self.store_table.remove(fid, h1, h2)
+                self.store_table.remove_entry(e)
                 self._free_slots.append(slot)
                 raise
             stats.opens += 1
             slot.view[:] = plaintext
-            self.store_table.remove(fid, h1, h2)
+            self.store_table.remove_entry(e)
 
         slot.entry = e
         e.slot = slot
@@ -543,7 +559,7 @@ class StateManager:
         timeout = self.expiration_s
         expired = [e for e in self.store_table.entries() if now_s - e.last_access > timeout]
         for e in expired:
-            self.store_table.remove(e.fid, e.h1, e.h2)
+            self.store_table.remove_entry(e)
             self.store_free(e.locator)
         self.stats.expirations += len(expired)
         return len(expired)

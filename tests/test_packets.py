@@ -1,5 +1,8 @@
 import pytest
 
+from enclavetap.boundary import BoundaryConfig, MemoryEnv
+from enclavetap.gateway import fragment
+from enclavetap.nf import FlowMeter
 from enclavetap.packets import (
     PROTO_TCP,
     PROTO_UDP,
@@ -12,6 +15,8 @@ from enclavetap.packets import (
     make_udp_frame,
     parse_packet,
 )
+from enclavetap.statemgmt import StateManager
+from enclavetap.wire import PktInfo
 
 A = bytes([10, 0, 0, 1])
 B = bytes([10, 0, 0, 2])
@@ -84,3 +89,22 @@ def test_built_ip_header_checksums_to_zero():
     assert ip_checksum(frame[14:34]) == 0
     frame = make_udp_frame(A, B, 1, 2, b"payload")
     assert ip_checksum(frame[14:34]) == 0
+
+
+def test_parse_only_first_fragment():
+    payload = bytes(range(256)) * 12  # 3072 B: three fragments at 1500
+    frags = fragment(make_tcp_frame(A, B, 1234, 80, payload, flags=TCP_FIN), 1500)
+    assert len(frags) == 3
+    first = parse_packet(frags[0])
+    assert first is not None
+    assert first.fid == parse_packet(make_tcp_frame(A, B, 1234, 80)).fid
+    assert first.tcp_flags == TCP_FIN
+    assert [parse_packet(f) for f in frags[1:]] == [None, None]
+
+    env = MemoryEnv(BoundaryConfig(trusted_capacity_bytes=1 << 20, untrusted_capacity_bytes=1 << 20))
+    meter = FlowMeter(StateManager(4, 64, env=env, seed=1))
+    for i, f in enumerate(frags[1:]):
+        meter.process(PktInfo(i, f))
+    assert meter.parse_failures == 2
+    assert meter.events == []
+    assert meter.state.tracked_flows == 0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from enclavetap.boundary import ArenaKind, BoundaryConfig, MemoryEnv
+from enclavetap.boundary import ArenaKind, BoundaryConfig, MemoryEnv, Region
 from enclavetap.errors import AuthFailure
 from enclavetap.packets import FlowId
 from enclavetap.statemgmt import (
@@ -130,9 +130,10 @@ def test_cuckoo_93_percent_load(rng):
 
 def test_cuckoo_differential_vs_dict(rng):
     hp = make_hash_pair(2)
-    t = CuckooTable(64)
+    t = CuckooTable(4)  # starts small so inserts displace and the table grows
     model: dict[bytes, LkupEntry] = {}
     pool = [rand_fid(rng) for _ in range(300)]
+    by_entry = grows = 0
     for _ in range(100_000):
         fid = rng.choice(pool)
         h1, h2 = hp(fid)
@@ -145,12 +146,20 @@ def test_cuckoo_differential_vs_dict(rng):
                     model[fid] = e
                 except NeedsResize as exc:
                     t = t.grown()
+                    grows += 1
+                    # every entry the grown table holds sits at its recorded slot
+                    assert all(x.pos == i for i, x in enumerate(t.slots) if x is not None)
                     t.insert(exc.args[0])
                     model[fid] = e
         elif op < 0.75:
             assert t.lookup(fid, h1, h2) is model.get(fid)
+        elif op < 0.875 and fid in model:
+            t.remove_entry(model.pop(fid))
+            by_entry += 1
         else:
             assert t.remove(fid, h1, h2) is model.pop(fid, None)
+        assert all(t.slots[e.pos] is e for e in model.values())
+    assert by_entry > 1000 and grows > 0
     assert t.count == len(model)
     for fid, e in model.items():
         assert t.lookup(fid, e.h1, e.h2) is e
@@ -371,6 +380,22 @@ def test_store_alloc_beyond_prealloc_one_crossing():
     assert env.stats.ocall_count == before + 1
     assert extra not in offs
     assert mgr.stats.store_grows == 1
+
+
+def test_tampered_freelist_link_rejected():
+    env = mgr_env()
+    mgr = StateManager(2, 32, env=env, seed=25)
+    for i in range(3):
+        mgr.track(fid_n(i), i)  # fid 0 sealed out into a fresh cell
+    tracked, cached = mgr.tracked_flows, mgr.cached_flows
+    # the untrusted side points a free cell's link 7 bytes into the next cell
+    link = Region(mgr._store_head, 8)
+    env.store(link, (int.from_bytes(env.load(link), "big") + 7).to_bytes(8, "big"))
+    with pytest.raises(AuthFailure):
+        mgr.track(fid_n(3), 3)  # a new flow evicts into a freshly allocated cell
+    with pytest.raises(AuthFailure):
+        mgr.store_alloc()
+    assert (mgr.tracked_flows, mgr.cached_flows) == (tracked, cached)
 
 
 def test_store_free_then_alloc_reuses():
