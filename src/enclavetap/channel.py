@@ -3,7 +3,10 @@
 The tunnel runs over any ordered, reliable byte stream. Two transports are
 provided: an in-process loopback pair (used by tests and the benchmark
 harness, with an optional per-message delay for round-trip experiments)
-and a TCP socket wrapper for the CLI programs.
+and a TCP socket wrapper for the CLI programs. The loopback receive copies
+no more than it returns: a chunk of exactly the size asked for is handed
+back as is, and a read from a larger chunk advances an offset into it
+instead of re-slicing its remainder.
 """
 
 from __future__ import annotations
@@ -17,11 +20,17 @@ from .errors import ChannelClosed
 
 
 class LoopbackEndpoint:
-    """One side of an in-process byte-stream pair."""
+    """One side of an in-process byte-stream pair.
+
+    ``send`` queues an immutable ``bytes`` chunk on the peer. ``recv_exact``
+    hands back a queued chunk as is when it is exactly the size asked for;
+    otherwise it reads on from an offset into the head chunk, so taking one
+    record from a multi-record chunk copies that record and nothing else.
+    """
 
     def __init__(self, delay_s: float = 0.0):
         self._rx = deque()  # (deliver_at, bytes) chunks queued for us
-        self._rx_bytes = 0
+        self._head_off = 0  # bytes of self._rx[0] already received
         self._cond = threading.Condition()
         self._peer: "LoopbackEndpoint | None" = None
         self._closed = False
@@ -34,19 +43,20 @@ class LoopbackEndpoint:
         peer = self._peer
         if peer is None:
             raise ChannelClosed("not connected")
+        data = bytes(data)  # no copy for bytes; a mutable buffer is snapshotted
         deliver_at = time.monotonic() + self._delay if self._delay else 0.0
         with peer._cond:
             if peer._closed:
                 raise ChannelClosed("peer closed")
             peer._rx.append((deliver_at, data))
-            peer._rx_bytes += len(data)
             peer._cond.notify_all()
 
     def recv_exact(self, n: int) -> bytes:
         """Block until exactly n bytes are available; raise ChannelClosed at EOF."""
-        out = bytearray()
+        parts: list[bytes] = []
+        need = n
         with self._cond:
-            while len(out) < n:
+            while need:
                 while not self._rx:
                     if self._closed:
                         raise ChannelClosed("channel closed")
@@ -57,16 +67,17 @@ class LoopbackEndpoint:
                     if now < deliver_at:
                         self._cond.wait(deliver_at - now)
                         continue
-                need = n - len(out)
-                if len(chunk) <= need:
-                    out += chunk
+                off = self._head_off
+                if len(chunk) - off <= need:
+                    piece = chunk[off:] if off else chunk
                     self._rx.popleft()
-                    self._rx_bytes -= len(chunk)
+                    self._head_off = 0
                 else:
-                    out += chunk[:need]
-                    self._rx[0] = (deliver_at, chunk[need:])
-                    self._rx_bytes -= need
-        return bytes(out)
+                    piece = chunk[off : off + need]
+                    self._head_off = off + need
+                parts.append(piece)
+                need -= len(piece)
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def close(self) -> None:
         with self._cond:

@@ -8,6 +8,19 @@ onto the receive ring(s). The TX thread reverses the steps: it drains the
 transmit ring, packs packets into fixed-size records, seals them, and
 crosses once per batch to hand them to the channel.
 
+Both directions work on runs of packets rather than one packet at a time.
+On receive, the parser builds each packet once, as the ``PktInfo`` that
+goes on the ring; the packets of a record between control frames form a
+run, the clock advances once per run to its latest timestamp (a heartbeat
+response closes the run, so a new round-trip estimate applies from the
+packet after it, and the clock ends where per-packet updates would put
+it), and the run goes onto the ring with one ``push_many``. A full ring
+still blocks rather than drops. With several receive rings each packet
+still picks its ring by flow hash. On transmit, one pass encodes the
+popped packets into one buffer for the record packer and stops at the
+packet that completes the batch's last record, so the records sent and
+the packets left on the ring are those of packing packet by packet.
+
 The poll driver (``read_pkt`` / ``write_pkt``) is called from middlebox
 threads. Blocking mode spins (yielding the interpreter between probes)
 because leaving the trusted side to sleep would be far more expensive than
@@ -26,24 +39,37 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .boundary import ArenaKind, MemoryEnv, Region
-from .errors import AuthFailure, ChannelClosed, DeviceShutdown, MalformedFrame, MemoryViolation
+from .errors import (
+    AuthFailure,
+    ChannelClosed,
+    DeviceShutdown,
+    EnclaveTapError,
+    MalformedFrame,
+    MemoryViolation,
+    OversizePacket,
+)
 from .packets import canonical_fid, extract_fid
 from .ring import RING_VARIANTS
 from .wire import (
+    DATA_HDR,
+    DATA_OVERHEAD,
     FRAME_DATA,
     FRAME_HB_REQ,
     FRAME_HB_RESP,
+    RECORD_LEN,
     SEALED_RECORD_LEN,
     ChannelKeys,
     Frame,
     PktInfo,
     RecordPacker,
     RecordParser,
-    encode_pkt,
     frame_encode,
 )
+
+_ts_of = itemgetter(0)  # PktInfo.ts_us
 
 
 def mono_us() -> int:
@@ -169,34 +195,50 @@ class EtapDevice:
             self.shutdown(f"memory violation: {exc}")
             raise
         delivered = 0
-        num_rings = cfg.num_rx_rings
-        clock = self.clock
+        feed_pkts = self._parser.feed_pkts
         for i in range(cfg.batch_size):
             sealed = data[i * SEALED_RECORD_LEN : (i + 1) * SEALED_RECORD_LEN]
             try:
-                plaintext = self._opener.open(sealed)
-                frames = self._parser.feed(plaintext)
+                items, ctrl = feed_pkts(self._opener.open(sealed))
             except (AuthFailure, MalformedFrame) as exc:
                 self.shutdown(f"record check failed: {exc}")
                 raise
             self.stats.records_rx += 1
-            for frame in frames:
-                ftype = frame.ftype
-                if ftype == FRAME_DATA:
-                    clock.update_from_packet(frame.ts_us)
-                    if num_rings > 1:
-                        idx = rss_select(extract_fid(frame.data), num_rings)
-                    else:
-                        idx = 0
-                    self._spin_push(self.rx_rings[idx], PktInfo(frame.ts_us, frame.data))
-                    delivered += 1
-                elif ftype == FRAME_HB_REQ:
+            # Runs end at every control frame: a heartbeat response changes
+            # the round-trip estimate from the packet that follows it.
+            start = 0
+            for at in ctrl:
+                if at > start:
+                    delivered += self._deliver_run(items[start:at])
+                start = at + 1
+                frame = items[at]
+                if frame.ftype == FRAME_HB_REQ:
                     self._ctrl.append(Frame(FRAME_HB_RESP, frame.ts_us))
                     self.stats.heartbeats_answered += 1
-                elif ftype == FRAME_HB_RESP:
-                    clock.observe_rtt(mono_us() - frame.ts_us)
+                else:
+                    self.clock.observe_rtt(mono_us() - frame.ts_us)
+            if start < len(items):
+                delivered += self._deliver_run(items[start:] if start else items)
         self.stats.pkts_rx += delivered
         return delivered
+
+    def _deliver_run(self, run: list[PktInfo]) -> int:
+        """Advance the clock to the run's latest packet, then push the run.
+
+        One clock update per run is exactly what per-packet updates give:
+        the round-trip estimate is fixed within a run, and the clock keeps
+        the maximum. The clock moves before any packet of the run becomes
+        visible, so every packet a reader pops has already advanced it.
+        """
+        self.clock.update_from_packet(max(map(_ts_of, run)))
+        num_rings = self.config.num_rx_rings
+        if num_rings == 1:
+            self._spin_push_many(self.rx_rings[0], run)
+        else:
+            rings = self.rx_rings
+            for pkt in run:
+                self._spin_push(rings[rss_select(extract_fid(pkt.data), num_rings)], pkt)
+        return len(run)
 
     def tx_loop_iteration(self) -> int:
         """One TX pass: drain up to a batch of packets, pack, seal, cross, send.
@@ -212,21 +254,39 @@ class EtapDevice:
             self._ctrl.append(Frame(FRAME_HB_REQ, now))
             self.stats.heartbeats_sent += 1
 
+        # One encoding pass: every frame of this call is appended to one
+        # list and handed to the packer as one buffer. Popping stops at the
+        # packet whose bytes complete the batch_size-th record, as it would
+        # if each packet were packed on its own.
         packer = self._packer
-        records: list[bytes] = []
+        parts: list[bytes] = []
         urgent = False
         while self._ctrl:
-            records.extend(packer.add(frame_encode(self._ctrl.popleft())))
+            parts.append(frame_encode(self._ctrl.popleft()))
             urgent = True
         budget = cfg.batch_size
-        tx_ring = self.tx_ring
+        acc = packer.pending_bytes + sum(map(len, parts))
+        limit = budget * RECORD_LEN
+        pop = self.tx_ring.pop
         max_pkt = cfg.max_pkt
-        while len(records) < budget:
-            pkt = tx_ring.pop()
+        pack_hdr = DATA_HDR.pack
+        append = parts.append
+        count = 0
+        while acc < limit:
+            pkt = pop()
             if pkt is None:
                 break
-            records.extend(packer.add(encode_pkt(pkt, max_pkt)))
-            self.stats.pkts_tx += 1
+            ts_us, body = pkt
+            n = len(body)
+            if n > max_pkt:
+                raise OversizePacket(f"{n} > {max_pkt}")
+            append(pack_hdr(FRAME_DATA, n, ts_us))
+            append(body)
+            acc += DATA_OVERHEAD + n
+            count += 1
+        records = packer.add(b"".join(parts)) if parts else []
+        if count:
+            self.stats.pkts_tx += count
             self._last_tx_add_us = now
         if packer.pending_bytes and (
             urgent or now - self._last_tx_add_us >= cfg.idle_flush_ms * 1000
@@ -277,7 +337,13 @@ class EtapDevice:
             time.sleep(0)
 
     def write_pkt(self, pkt: PktInfo, blocking: bool = True) -> bool:
-        """Push a packet onto the transmit ring (single designated writer)."""
+        """Push a packet onto the transmit ring (single designated writer).
+
+        Raises ``OversizePacket`` for a packet over ``max_pkt``; it never
+        enters the ring.
+        """
+        if len(pkt.data) > self.config.max_pkt:
+            raise OversizePacket(f"{len(pkt.data)} > {self.config.max_pkt}")
         if self._tx_writer_ident is None:
             self._tx_writer_ident = threading.get_ident()
         else:
@@ -329,6 +395,8 @@ class EtapDevice:
                     time.sleep(0.0002)
         except (ChannelClosed, DeviceShutdown):
             self.shutdown("channel closed")
+        except EnclaveTapError as exc:
+            self.shutdown(f"transmit check failed: {exc}")
 
     def shutdown(self, reason: str) -> None:
         if not self._shutdown:
@@ -359,3 +427,12 @@ class EtapDevice:
             if self._shutdown:
                 raise DeviceShutdown(self.shutdown_reason or "device shut down")
             time.sleep(0)
+
+    def _spin_push_many(self, ring, run: list[PktInfo]) -> None:
+        # As _spin_push, for a run: push what fits, block on the rest.
+        done = ring.push_many(run)
+        while done < len(run):
+            if self._shutdown:
+                raise DeviceShutdown(self.shutdown_reason or "device shut down")
+            time.sleep(0)
+            done += ring.push_many(run, done)

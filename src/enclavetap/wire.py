@@ -42,6 +42,7 @@ FRAME_PADDING = 3
 DATA_HDR = struct.Struct("!BHQ")  # type, len, timestamp
 HB_HDR = struct.Struct("!BQ")  # type, timestamp
 DATA_OVERHEAD = DATA_HDR.size  # 11
+_LEN_TS = struct.Struct("!HQ")  # a Data header after its type byte
 
 
 class PktInfo(NamedTuple):
@@ -138,6 +139,10 @@ class RecordParser:
     partial bytes into the next record. Padding frames are consumed
     silently. Raises ``MalformedFrame`` on unknown type bytes or Data
     lengths over the packet buffer size — corruption upstream of AEAD.
+
+    ``feed`` returns ``Frame``s; ``feed_pkts`` is the device's entry point
+    and builds each Data frame directly as the ``PktInfo`` that goes on a
+    receive ring. Both run the same parse loop.
     """
 
     def __init__(self, max_pkt: int = DEFAULT_MAX_PKT):
@@ -149,40 +154,63 @@ class RecordParser:
         return len(self._pending)
 
     def feed(self, record: bytes) -> list[Frame]:
-        data = self._pending + record if self._pending else record
-        self._pending = b""
-        frames: list[Frame] = []
+        return self._parse(record, Frame, (FRAME_DATA,))[0]
+
+    def feed_pkts(self, record: bytes) -> tuple[list, list[int]]:
+        """Parse one record into ``PktInfo``s for Data frames and ``Frame``s
+        for control frames, in stream order.
+
+        Returns ``(items, ctrl)``: ``ctrl`` lists the indices of the control
+        frames in ``items`` (empty in the common case), so a caller can take
+        the runs of packets between them as list slices.
+        """
+        return self._parse(record, PktInfo, ())
+
+    def _parse(self, record: bytes, data_cls: type, head: tuple) -> tuple[list, list[int]]:
+        # A Data frame becomes data_cls(*head, ts, body), built with
+        # tuple.__new__ to skip the namedtuple constructor.
+        data = bytes(record)  # no copy for bytes; every slice below is bytes
+        if self._pending:
+            data = self._pending + data
+            self._pending = b""
+        items: list = []
+        ctrl: list[int] = []
+        append = items.append
+        new = tuple.__new__
+        len_ts = _LEN_TS.unpack_from
+        max_pkt = self.max_pkt
         pos = 0
         end = len(data)
-        max_pkt = self.max_pkt
         while pos < end:
             ftype = data[pos]
             if ftype == FRAME_DATA:
-                if pos + DATA_OVERHEAD > end:
-                    self._pending = bytes(data[pos:])
+                body = pos + DATA_OVERHEAD
+                if body > end:
+                    self._pending = data[pos:]
                     break
-                _, plen, ts = DATA_HDR.unpack_from(data, pos)
+                plen, ts = len_ts(data, pos + 1)
                 if plen > max_pkt:
                     raise MalformedFrame(f"data length {plen} > {max_pkt}")
-                body_end = pos + DATA_OVERHEAD + plen
+                body_end = body + plen
                 if body_end > end:
-                    self._pending = bytes(data[pos:])
+                    self._pending = data[pos:]
                     break
-                frames.append(Frame(FRAME_DATA, ts, bytes(data[pos + DATA_OVERHEAD : body_end])))
+                append(new(data_cls, head + (ts, data[body:body_end])))
                 pos = body_end
             elif ftype in (FRAME_HB_REQ, FRAME_HB_RESP):
                 if pos + HB_HDR.size > end:
-                    self._pending = bytes(data[pos:])
+                    self._pending = data[pos:]
                     break
                 _, ts = HB_HDR.unpack_from(data, pos)
-                frames.append(Frame(ftype, ts))
+                ctrl.append(len(items))
+                append(Frame(ftype, ts))
                 pos += HB_HDR.size
             elif ftype == FRAME_PADDING:
                 # always the last frame in its record: remainder is filler
                 break
             else:
                 raise MalformedFrame(f"unknown frame type {ftype}")
-        return frames
+        return items, ctrl
 
 
 def parse_records(records: Iterable[bytes], max_pkt: int = DEFAULT_MAX_PKT) -> list[Frame]:

@@ -1,10 +1,13 @@
+import random
+import threading
 import time
+from collections import deque
 
 import pytest
 
 from enclavetap.boundary import BoundaryConfig, MemoryEnv
 from enclavetap.channel import loopback_pair
-from enclavetap.errors import AuthFailure, DeviceShutdown, MemoryViolation
+from enclavetap.errors import AuthFailure, DeviceShutdown, MemoryViolation, OversizePacket
 from enclavetap.etap import EtapConfig, EtapDevice, TrustedClock, mono_us, rss_select
 from enclavetap.gateway import PAD_RECORD
 from enclavetap.packets import FlowId, make_tcp_frame
@@ -16,6 +19,7 @@ from enclavetap.wire import (
     PktInfo,
     RecordPacker,
     RecordParser,
+    encode_pkt,
     frame_encode,
 )
 
@@ -217,6 +221,84 @@ def test_rx_rss_partition_and_per_flow_order(keys):
     assert sum(len(v) for v in per_ring.values()) == 200
 
 
+def test_rx_heartbeats_mid_record_clock_matches_per_packet(keys):
+    """A heartbeat response inside a record applies its round-trip estimate
+    from the next packet on, exactly as per-packet clock updates do."""
+    ch_gw, dev = make_device(keys, batch_size=1)
+    sealer = keys.gateway_sealer()
+    a, b0, b = 1_000_000, 960_000, 990_000
+    frames = [
+        Frame(FRAME_DATA, a, b"a"),
+        Frame(FRAME_HB_REQ, 7),
+        Frame(FRAME_DATA, b0, b"b0"),
+        Frame(FRAME_HB_RESP, mono_us() - 100_000),
+        Frame(FRAME_DATA, b, b"b"),
+    ]
+    send_batch(ch_gw, sealer, frames, 1)
+    assert dev.rx_loop_iteration() == 3
+    rtd = dev.clock.t_rtd_us
+    assert rtd >= 100_000
+    ref = TrustedClock()
+    ref.update_from_packet(a)
+    ref.update_from_packet(b0)
+    ref.observe_rtt(rtd)
+    ref.update_from_packet(b)
+    assert dev.clock_now() == ref.now() == b + rtd // 2
+    # neither one update at the old estimate nor one at the new would do
+    assert ref.now() not in (a, a + rtd // 2)
+    assert dev.stats.heartbeats_answered == 1
+    got = [dev.read_pkt(blocking=False) for _ in range(3)]
+    assert got == [PktInfo(a, b"a"), PktInfo(b0, b"b0"), PktInfo(b, b"b")]
+    assert dev.read_pkt(blocking=False) is None
+
+
+def test_rx_batch_larger_than_ring_drained_by_reader(keys):
+    ch_gw, dev = make_device(keys, batch_size=4, ring_size=64)
+    sealer = keys.gateway_sealer()
+    frames = [Frame(FRAME_DATA, 5000 + i, i.to_bytes(2, "big") * 50) for i in range(500)]
+    send_batch(ch_gw, sealer, frames, 4)
+    got = []
+
+    def reader():
+        for _ in range(len(frames)):
+            got.append(dev.read_pkt(blocking=True))
+
+    t = threading.Thread(target=reader)
+    t.start()
+    assert dev.rx_loop_iteration() == 500
+    t.join(30)
+    assert not t.is_alive()
+    assert got == [PktInfo(f.ts_us, f.data) for f in frames]
+    assert dev.read_pkt(blocking=False) is None
+
+
+@pytest.mark.parametrize("num_rings", [1, 2])
+def test_rx_blocked_on_full_ring_raises_on_shutdown(keys, num_rings):
+    ch_gw, dev = make_device(keys, batch_size=1, ring_size=8, num_rx_rings=num_rings)
+    sealer = keys.gateway_sealer()
+    send_batch(ch_gw, sealer, [Frame(FRAME_DATA, i, bytes(64)) for i in range(50)], 1)
+    errs = []
+
+    def rx():
+        try:
+            dev.rx_loop_iteration()
+        except DeviceShutdown:
+            errs.append("shutdown")
+
+    t = threading.Thread(target=rx)
+    t.start()
+    deadline = time.monotonic() + 10
+    while sum(r.occupancy() for r in dev.rx_rings) < 7 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    time.sleep(0.02)
+    assert t.is_alive()  # blocked on the full ring, nothing dropped
+    dev.shutdown("test stop")
+    t.join(5)
+    assert not t.is_alive()
+    assert errs == ["shutdown"]
+    assert sum(r.occupancy() for r in dev.rx_rings) == 7
+
+
 # ------------------------------------------------------------------ TX loop
 
 def test_tx_100_full_packets_ten_records(keys):
@@ -256,6 +338,104 @@ def test_tx_idle_flush_after_timer(keys):
     assert dev.tx_loop_iteration() == 0  # packed, idle timer starts
     time.sleep(0.005)
     assert dev.tx_loop_iteration() == 1  # timer expired: padded record flushed
+
+
+def _per_packet_tx_pass(queue, packer, ctrl, batch_size, flush):
+    """Reference TX pass: each packet encoded and packed on its own."""
+    records = []
+    for f in ctrl:
+        records += packer.add(frame_encode(f))
+    while len(records) < batch_size and queue:
+        records += packer.add(encode_pkt(queue.popleft()))
+    if packer.pending_bytes and (flush or ctrl):
+        records.append(packer.flush())
+    return records
+
+
+@pytest.mark.parametrize("idle_flush_ms", [0, 10**9])
+def test_tx_one_pass_matches_per_packet_reference(keys, idle_flush_ms):
+    """Sealed records sent and packets left on the ring equal a per-packet
+    encode_pkt + RecordPacker.add reference after every pass."""
+    ch_gw, dev = make_device(keys, batch_size=3, ring_size=256)
+    dev.config.idle_flush_ms = idle_flush_ms
+    rng = random.Random(41)
+    pkts = [PktInfo(rng.getrandbits(40), rng.randbytes(rng.randrange(64, 1501))) for _ in range(200)]
+    for p in pkts:
+        assert dev.write_pkt(p, blocking=False)
+    queue = deque(pkts)
+    packer = RecordPacker()
+    sealer = keys.device_sealer()
+    passes = 0
+    while queue:
+        ctrl = [Frame(FRAME_HB_RESP, 42)] if passes == 1 else []
+        dev._ctrl.extend(ctrl)
+        want = _per_packet_tx_pass(queue, packer, ctrl, 3, idle_flush_ms == 0)
+        sent = dev.tx_loop_iteration()
+        assert sent == len(want)
+        if sent:
+            assert ch_gw.recv_exact(sent * 16400) == b"".join(sealer.seal(r) for r in want)
+        assert dev.tx_ring.occupancy() == len(queue)
+        assert dev.stats.pkts_tx == len(pkts) - len(queue)
+        passes += 1
+    assert passes > 3  # more than batch_size records' worth, over several passes
+    assert dev._packer.pending_bytes == packer.pending_bytes
+
+
+def test_tx_stops_at_packet_completing_last_record(keys):
+    """Bytes held over from the last pass count toward the batch, and the
+    packet that completes the batch's last record exactly ends the pass."""
+    ch_gw, dev = make_device(keys, batch_size=3, ring_size=256)
+    dev.config.idle_flush_ms = 10**9
+    pkt = PktInfo(9, bytes(1013))  # 1024 bytes encoded: 16 to a record
+    dev.write_pkt(pkt)
+    assert dev.tx_loop_iteration() == 0
+    assert dev._packer.pending_bytes == 1024
+    for _ in range(48):
+        dev.write_pkt(pkt)
+    assert dev.tx_loop_iteration() == 3  # 1 + 47 packets fill three records
+    assert dev._packer.pending_bytes == 0
+    assert dev.tx_ring.occupancy() == 1
+    packer = RecordPacker()
+    want = packer.add(encode_pkt(pkt) * 48)
+    sealer = keys.device_sealer()
+    assert ch_gw.recv_exact(3 * 16400) == b"".join(sealer.seal(r) for r in want)
+
+
+def test_write_pkt_oversize_rejected_device_keeps_sending(keys):
+    ch_gw, dev = make_device(keys, batch_size=1, max_pkt=1500)
+    dev.start()
+    try:
+        with pytest.raises(OversizePacket):
+            dev.write_pkt(PktInfo(1, bytes(2000)))
+        assert dev.tx_ring.occupancy() == 0
+        dev.write_pkt(PktInfo(2, bytes(100)))
+        deadline = time.monotonic() + 10
+        while dev.stats.records_tx == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert dev.stats.records_tx == 1
+        assert not dev.is_shutdown
+        rec = keys.gateway_opener().open(ch_gw.recv_exact(16400))
+        assert RecordParser().feed(rec) == [Frame(FRAME_DATA, 2, bytes(100))]
+    finally:
+        dev.stop()
+
+
+def test_tx_check_failure_shuts_device_down(keys):
+    """An oversize packet that reaches the TX thread stops the device with a
+    reason instead of killing the thread silently."""
+    _, dev = make_device(keys, batch_size=1, max_pkt=1500)
+    assert dev.tx_ring.push(PktInfo(1, bytes(2000)))  # bypasses write_pkt's check
+    dev.start()
+    try:
+        deadline = time.monotonic() + 10
+        while not dev.is_shutdown and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert dev.is_shutdown
+        assert "transmit" in dev.shutdown_reason and "2000 > 1500" in dev.shutdown_reason
+        with pytest.raises(DeviceShutdown):
+            dev.read_pkt(blocking=False)
+    finally:
+        dev.stop()
 
 
 # -------------------------------------------------------------- poll driver

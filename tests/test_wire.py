@@ -12,6 +12,7 @@ from enclavetap.wire import (
     SEALED_RECORD_LEN,
     ChannelKeys,
     Frame,
+    PktInfo,
     RecordPacker,
     RecordParser,
     frame_encode,
@@ -149,12 +150,22 @@ def test_parse_oversize_len_malformed():
         RecordParser().feed(rec)
 
 
+def _feed_pkts_as_frames(parser: RecordParser, record: bytes) -> list[Frame]:
+    items, ctrl = parser.feed_pkts(record)
+    assert [i for i, x in enumerate(items) if type(x) is Frame] == ctrl
+    assert all(type(x) is PktInfo for i, x in enumerate(items) if i not in ctrl)
+    return [x if i in ctrl else Frame(FRAME_DATA, x.ts_us, x.data) for i, x in enumerate(items)]
+
+
 def test_parse_random_flush_points(rng):
+    """Both entry points give the sent frames; feed_pkts as PktInfo for data."""
     for _ in range(30):
         parser = RecordParser()
+        pkt_parser = RecordParser()
         packer = RecordPacker()
         sent = []
         got = []
+        got_pkts = []
         for _ in range(rng.randint(1, 5)):
             chunk = [rand_frame(rng) for _ in range(rng.randint(0, 30))]
             sent.extend(chunk)
@@ -166,7 +177,9 @@ def test_parse_random_flush_points(rng):
                 records.append(rec)
             for r in records:
                 got.extend(parser.feed(r))
+                got_pkts.extend(_feed_pkts_as_frames(pkt_parser, r))
         assert got == sent
+        assert got_pkts == sent
 
 
 # ------------------------------------------------------------------ sealing
