@@ -20,13 +20,7 @@ from .errors import ChannelClosed
 
 
 class LoopbackEndpoint:
-    """One side of an in-process byte-stream pair.
-
-    ``send`` queues an immutable ``bytes`` chunk on the peer. ``recv_exact``
-    hands back a queued chunk as is when it is exactly the size asked for;
-    otherwise it reads on from an offset into the head chunk, so taking one
-    record from a multi-record chunk copies that record and nothing else.
-    """
+    """One side of an in-process byte-stream pair."""
 
     def __init__(self, delay_s: float = 0.0):
         self._rx = deque()  # (deliver_at, bytes) chunks queued for us

@@ -11,15 +11,16 @@ crosses once per batch to hand them to the channel.
 Both directions work on runs of packets rather than one packet at a time.
 On receive, the parser builds each packet once, as the ``PktInfo`` that
 goes on the ring; the packets of a record between control frames form a
-run, the clock advances once per run to its latest timestamp (a heartbeat
-response closes the run, so a new round-trip estimate applies from the
-packet after it, and the clock ends where per-packet updates would put
-it), and the run goes onto the ring with one ``push_many``. A full ring
-still blocks rather than drops. With several receive rings each packet
-still picks its ring by flow hash. On transmit, one pass encodes the
-popped packets into one buffer for the record packer and stops at the
-packet that completes the batch's last record, so the records sent and
-the packets left on the ring are those of packing packet by packet.
+run, the clock advances once per run to its latest timestamp (any control
+frame closes the run, so a new round-trip estimate from a heartbeat
+response applies from the packet after it, and the clock ends where
+per-packet updates would put it), and the run goes onto the ring with one
+``push_many``. A full ring still blocks rather than drops. With several
+receive rings each packet still picks its ring by flow hash. On transmit,
+one pass encodes the popped packets into one buffer for the record packer
+and stops at the packet that completes the batch's last record, so the
+records sent and the packets left on the ring are those of packing packet
+by packet.
 
 The poll driver (``read_pkt`` / ``write_pkt``) is called from middlebox
 threads. Blocking mode spins (yielding the interpreter between probes)
@@ -204,8 +205,8 @@ class EtapDevice:
                 self.shutdown(f"record check failed: {exc}")
                 raise
             self.stats.records_rx += 1
-            # Runs end at every control frame: a heartbeat response changes
-            # the round-trip estimate from the packet that follows it.
+            # Runs end at every control frame, so a heartbeat response
+            # changes the round-trip estimate from the packet after it.
             start = 0
             for at in ctrl:
                 if at > start:
@@ -223,13 +224,8 @@ class EtapDevice:
         return delivered
 
     def _deliver_run(self, run: list[PktInfo]) -> int:
-        """Advance the clock to the run's latest packet, then push the run.
-
-        One clock update per run is exactly what per-packet updates give:
-        the round-trip estimate is fixed within a run, and the clock keeps
-        the maximum. The clock moves before any packet of the run becomes
-        visible, so every packet a reader pops has already advanced it.
-        """
+        # The clock moves before any packet of the run becomes visible, so
+        # every packet a reader pops has already advanced it.
         self.clock.update_from_packet(max(map(_ts_of, run)))
         num_rings = self.config.num_rx_rings
         if num_rings == 1:
@@ -237,7 +233,8 @@ class EtapDevice:
         else:
             rings = self.rx_rings
             for pkt in run:
-                self._spin_push(rings[rss_select(extract_fid(pkt.data), num_rings)], pkt)
+                ring = rings[rss_select(extract_fid(pkt.data), num_rings)]
+                self._spin_push_many(ring, (pkt,))
         return len(run)
 
     def tx_loop_iteration(self) -> int:
@@ -419,17 +416,9 @@ class EtapDevice:
 
     # ------------------------------------------------------------------ helpers
 
-    def _spin_push(self, ring, pkt: PktInfo) -> None:
-        # Delivery to a full ring blocks rather than drops.
-        if ring.push(pkt):
-            return
-        while not ring.push(pkt):
-            if self._shutdown:
-                raise DeviceShutdown(self.shutdown_reason or "device shut down")
-            time.sleep(0)
-
-    def _spin_push_many(self, ring, run: list[PktInfo]) -> None:
-        # As _spin_push, for a run: push what fits, block on the rest.
+    def _spin_push_many(self, ring, run) -> None:
+        # Delivery to a full ring blocks rather than drops: push what fits,
+        # spin on the rest.
         done = ring.push_many(run)
         while done < len(run):
             if self._shutdown:
