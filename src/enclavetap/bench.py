@@ -8,10 +8,10 @@ Everything emits CSV rows suitable for external plotting.
 The three variants:
 
   * native   — states in an unbounded plaintext map; no boundary, no crypto.
-  * strawman — every state access seals/opens through the untrusted arena
-               with no cache at all; a stand-in for a port whose state
-               traffic is paging-dominated. Labeled as a stand-in in all
-               outputs.
+  * strawman — the managed design with every access a miss: one cached
+               state, sealed back into the untrusted store before each
+               track; a stand-in for a port whose state traffic is
+               paging-dominated. Labeled as a stand-in in all outputs.
   * managed  — the full bounded-cache state manager.
 
 All variants expose the same track/terminate/expire contract, so they run
@@ -29,28 +29,18 @@ import csv
 import gc
 import hashlib
 import os
-import random
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable
 
-from .boundary import ArenaKind, BoundaryConfig, MemoryEnv, Region
+from .boundary import BoundaryConfig, MemoryEnv
 from .channel import loopback_pair
-from .errors import AuthFailure
 from .etap import EtapConfig, EtapDevice, mono_us
 from .gateway import Gateway, GatewayConfig, SyntheticConfig, SyntheticSource
 from .nf import Echo, FlowMeter, BufferedIds, NfRunner, PatternSet
 from .packets import canonical_fid, parse_packet
 from .ring import RING_VARIANTS
-from .statemgmt import (
-    U64,
-    CuckooTable,
-    LkupEntry,
-    StateManager,
-    make_hash_pair,
-    open_state,
-    seal_state,
-)
+from .statemgmt import StateManager, StateStats
 from .wire import ChannelKeys
 
 DEFAULT_SWEEP_CROSSING_DELAY_US = 1000
@@ -103,139 +93,23 @@ class NativeState:
         return len(dead)
 
 
-class StrawmanState:
-    """No cache: every access opens the sealed state and seals it back.
+class StrawmanState(StateManager):
+    """The managed design with every access a miss.
 
-    Uses the same lookup, allocator, and AEAD machinery as the managed
-    variant, minus the plaintext cache — each track pays one open and (for
-    the previously pinned flow) one seal.
+    One cached state, sealed back into a store cell before each track, so
+    every track of a known flow pays one open and the flow tracked before it
+    one seal, through the same store, free list and lookup tables as the
+    managed variant.
     """
 
-    def __init__(
-        self,
-        state_size: int,
-        expiration_s: int = 60,
-        env: MemoryEnv | None = None,
-        store_prealloc: int = 4096,
-        seed: int | None = None,
-    ):
-        self.state_size = state_size
-        self.expiration_s = expiration_s
-        self.env = env or MemoryEnv()
-        rng = random.Random(seed)
-        self._rng = rng
-        self._hash_pair = make_hash_pair(rng.getrandbits(64))
-        from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
-        self._aead = AESGCM(rng.randbytes(16))
-        self._iv4 = rng.randbytes(4)
-        self.table = CuckooTable(64, rng.getrandbits(32))
-        self._entry_size = state_size + 16
-        self._scratch = bytearray(state_size)
-        self._scratch_view = memoryview(self._scratch)
-        self._pinned: LkupEntry | None = None
-        self._zero = bytes(state_size)
-        self._pool_bases: list[int] = []
-        self._pool_views: list[memoryview] = []
-        self._pool_cells = 0
-        self._free: list[int] = []
-        self._prealloc = store_prealloc
-        self._grow(store_prealloc)
-        self.seals = 0
-        self.opens = 0
-
-    def _grow(self, entries: int) -> None:
-        region = self.env.alloc(ArenaKind.UNTRUSTED, entries * self._entry_size)
-        view = self.env.view(region)
-        self._pool_bases.append(region.base)
-        self._pool_views.append(view)
-        self._pool_cells += entries
-        self._free.extend(region.base + i * self._entry_size for i in range(entries))
-
-    def _cell_view(self, off: int) -> memoryview:
-        from bisect import bisect_right
-
-        i = bisect_right(self._pool_bases, off) - 1
-        if i >= 0:
-            view = self._pool_views[i]
-            rel = off - self._pool_bases[i]
-            if rel + self._entry_size <= len(view):
-                return view[rel : rel + self._entry_size]
-        raise AuthFailure(f"cell locator {off} outside any pool")
-
-    def _seal_back(self) -> None:
-        e = self._pinned
-        if e is None:
-            return
-        self._pinned = None
-        e.swap_count = (e.swap_count + 1) & U64
-        ct = seal_state(self._aead, self._iv4, e.fid, e.swap_count, bytes(self._scratch))
-        self._cell_view(e.locator)[:] = ct
-        self.seals += 1
+    def __init__(self, state_size: int, expiration_s: int = 60, env: MemoryEnv | None = None,
+                 seed: int | None = None):
+        super().__init__(2, state_size, expiration_s, env=env, store_prealloc=4096, seed=seed)
 
     def track(self, fid: bytes, now_s: int):
-        fid, flipped = canonical_fid(fid)
-        h1, h2 = self._hash_pair(fid)
-        self._seal_back()
-        e = self.table.lookup(fid, h1, h2)
-        is_new = e is None
-        if is_new:
-            e = LkupEntry(fid, h1, h2, self._rng.getrandbits(64))
-            if not self._free:
-                self.env.crossing(False, 0)
-                self._grow(max(self._prealloc, self._pool_cells))
-            e.locator = self._free.pop()
-            self._insert(e)
-            self.env.check_memory(Region(e.locator, self._entry_size))
-            self._scratch_view[:] = self._zero
-        else:
-            self.env.check_memory(Region(e.locator, self._entry_size))
-            sealed = bytes(self._cell_view(e.locator))
-            try:
-                pt = open_state(self._aead, self._iv4, fid, e.swap_count, sealed)
-            except AuthFailure:
-                self.table.remove(fid, h1, h2)
-                self._free.append(e.locator)
-                raise
-            self.opens += 1
-            self._scratch_view[:] = pt
-        e.last_access = now_s
-        self._pinned = e
-        return self._scratch_view, is_new, flipped
-
-    def _insert(self, entry: LkupEntry) -> None:
-        from .statemgmt import NeedsResize
-
-        table = self.table
-        while True:
-            try:
-                table.insert(entry)
-                self.table = table
-                return
-            except NeedsResize as exc:
-                entry = exc.args[0]
-                table = table.grown()
-
-    def terminate(self, fid: bytes) -> bool:
-        fid, _ = canonical_fid(fid)
-        h1, h2 = self._hash_pair(fid)
-        if self._pinned is not None and self._pinned.fid == fid:
-            self._pinned = None
-        e = self.table.remove(fid, h1, h2)
-        if e is None:
-            return False
-        self._free.append(e.locator)
-        return True
-
-    def expire(self, now_s: int) -> int:
-        timeout = self.expiration_s
-        dead = [e for e in self.table.entries() if now_s - e.last_access > timeout]
-        for e in dead:
-            if self._pinned is e:
-                self._pinned = None
-            self.table.remove(e.fid, e.h1, e.h2)
-            self._free.append(e.locator)
-        return len(dead)
+        if self.cached_flows:
+            self._free_slots.append(self._evict_lru(self.store_alloc()))
+        return super().track(fid, now_s)
 
 
 VARIANTS = ("native", "strawman", "managed")
@@ -713,15 +587,8 @@ def run_variant(workload: VariantWorkload, variant: str, env: MemoryEnv | None =
         if gc_was_enabled:
             gc.enable()
     samples.sort()
-    miss = 0.0
-    seals = opens = 0
-    if variant == "managed":
-        miss = backend.stats.miss_rate
-        seals = backend.stats.seals
-        opens = backend.stats.opens
-    elif variant == "strawman":
-        seals = backend.seals
-        opens = backend.opens
+    # the sealed variants count seals, opens and misses; native has none
+    stats = backend.stats if isinstance(backend, StateManager) else StateStats()
     return RunResult(
         workload=f"variants-{workload.nf}",
         param="variant",
@@ -732,9 +599,9 @@ def run_variant(workload: VariantWorkload, variant: str, env: MemoryEnv | None =
         latency_mean_us=total_ns / n / 1000.0 if n else 0.0,
         latency_p50_us=_percentile(samples, 0.50),
         latency_p99_us=_percentile(samples, 0.99),
-        cache_miss_rate=miss,
-        seal_ops=seals,
-        open_ops=opens,
+        cache_miss_rate=stats.miss_rate,
+        seal_ops=stats.seals,
+        open_ops=stats.opens,
         events_digest=_events_digest(nf.events),
         note="strawman stands in for a paging-dominated naive port" if variant == "strawman" else "",
     )

@@ -336,9 +336,12 @@ class EtapDevice:
     def write_pkt(self, pkt: PktInfo, blocking: bool = True) -> bool:
         """Push a packet onto the transmit ring (single designated writer).
 
-        Raises ``OversizePacket`` for a packet over ``max_pkt``; it never
+        Raises ``DeviceShutdown`` once the device has shut down, and
+        ``OversizePacket`` for a packet over ``max_pkt``; neither packet
         enters the ring.
         """
+        if self._shutdown:
+            raise DeviceShutdown(self.shutdown_reason or "device shut down")
         if len(pkt.data) > self.config.max_pkt:
             raise OversizePacket(f"{len(pkt.data)} > {self.config.max_pkt}")
         if self._tx_writer_ident is None:

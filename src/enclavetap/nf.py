@@ -6,7 +6,8 @@ per-flow pattern matcher that appends in-order TCP payload to a 4 KB
 inspection buffer and scans it whenever the buffer fills or the flow
 completes. Both are oblivious to how flow state is stored: they run
 unchanged over the bounded sealed-store manager, an unbounded plaintext
-map, or the seal-everything strawman.
+map, or the strawman: the same manager with every access a miss (one
+cached state, sealed back before each track).
 
 Timing inside the NFs derives from packet timestamps (monotonically
 clamped), so identical input packets produce identical outputs regardless

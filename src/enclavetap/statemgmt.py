@@ -27,6 +27,11 @@ rewrote to point inside a cell) is rejected with ``AuthFailure``. Every
 lookup entry records the index of its slot in the table holding it, so a
 swap removes the victim and the incoming entry without re-probing a bucket.
 
+``_evict_lru`` is the one eviction path: it seals the least-recently-tracked
+flow into a store cell, moves its entry to the store table and frees its
+slot. A miss with a full cache calls it, and so does the strawman variant in
+``bench``, which seals its one cached state back before every track.
+
 A manager instance is single-threaded by design: one instance per receive
 ring, no shared mutable state between instances. The state region returned
 by ``track`` stays valid until the next track/terminate/expire call on the
@@ -379,16 +384,18 @@ class StateManager:
         return off
 
     def store_alloc(self) -> int:
-        """Pop a free untrusted cell; grows the pool via one crossing if empty.
+        """Pop a free untrusted cell, checked to lie untrusted.
 
-        Growth doubles the pool so crossings stay rare no matter how far the
-        preallocation was undershot.
+        An empty pool grows via one crossing; growth doubles the pool so
+        crossings stay rare no matter how far the preallocation was undershot.
         """
         if self._store_head == 0:
             self.env.crossing(False, 0)  # ask the untrusted side for more cells
             self._grow_pool(max(self._prealloc, len(self._cells)))
             self.stats.store_grows += 1
-        return self._freelist_pop()
+        off = self._freelist_pop()
+        self.env.check_memory(Region(off, self._entry_size))
+        return off
 
     def store_free(self, off: int) -> None:
         self._freelist_push(off)
@@ -468,29 +475,9 @@ class StateManager:
                 # no victim will reuse the cell, so recycle it now
                 self.store_free(incoming_off)
         else:
-            # evict the least-recently-tracked flow into an untrusted cell:
-            # the incoming flow's cell when swapping, a fresh one for a new flow
-            if is_new:
-                cell_off = self.store_alloc()
-                self.env.check_memory(Region(cell_off, self._entry_size))
-            else:
-                cell_off = incoming_off
-            victim_slot = self._lru_tail.prev
-            victim = victim_slot.entry
-            victim.swap_count = (victim.swap_count + 1) & U64
-            ct = seal_state(self._aead, self._iv4, victim.fid, victim.swap_count, bytes(victim_slot.view))
-            stats.seals += 1
-            stats.evictions += 1
-            self._store_view(cell_off)[:] = ct
-            self.cache_table.remove_entry(victim)
-            victim.slot = None
-            victim.locator = cell_off
-            self._insert_with_resize("store", victim)
-            self._lru_unlink(victim_slot)
-            victim_slot.entry = None
-            slot = victim_slot
-            if self.on_evict is not None:
-                self.on_evict(victim.fid)
+            # the victim goes into the incoming flow's cell when swapping,
+            # a fresh one for a new flow
+            slot = self._evict_lru(self.store_alloc() if is_new else incoming_off)
 
         if is_new:
             slot.view[:] = self._zero_state
@@ -514,6 +501,29 @@ class StateManager:
         self._insert_with_resize("cache", e)
         self._lru_push_front(slot)
         return slot.view, is_new, flipped
+
+    def _evict_lru(self, cell_off: int) -> CacheSlot:
+        """Seal the least-recently-tracked flow into store cell ``cell_off``.
+
+        Moves its lookup entry from the cache table to the store table and
+        returns its now empty slot.
+        """
+        victim_slot = self._lru_tail.prev
+        victim = victim_slot.entry
+        victim.swap_count = (victim.swap_count + 1) & U64
+        ct = seal_state(self._aead, self._iv4, victim.fid, victim.swap_count, bytes(victim_slot.view))
+        self.stats.seals += 1
+        self.stats.evictions += 1
+        self._store_view(cell_off)[:] = ct
+        self.cache_table.remove_entry(victim)
+        victim.slot = None
+        victim.locator = cell_off
+        self._insert_with_resize("store", victim)
+        self._lru_unlink(victim_slot)
+        victim_slot.entry = None
+        if self.on_evict is not None:
+            self.on_evict(victim.fid)
+        return victim_slot
 
     def _insert_with_resize(self, which: str, entry: LkupEntry) -> None:
         table = self.cache_table if which == "cache" else self.store_table
@@ -573,9 +583,6 @@ class StateManager:
     @property
     def tracked_flows(self) -> int:
         return self.cache_table.count + self.store_table.count
-
-    def metadata_footprint(self) -> dict[str, int]:
-        return footprint_bytes(self.capacity, self.tracked_flows)
 
     def store_region_of(self, fid: bytes) -> Region | None:
         """Locate a flow's sealed cell (testing/instrumentation hook)."""

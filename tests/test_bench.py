@@ -61,14 +61,14 @@ def test_strawman_seals_and_opens_every_access():
     assert is_new
     v[:4] = b"data"
     st.track(b"\x06" * 13, 1)  # seals fid back
-    assert st.seals == 1
+    assert st.stats.seals == 1
     v, is_new, _ = st.track(fid, 2)  # opens fid again
     assert not is_new
     assert bytes(v[:4]) == b"data"
-    assert st.opens == 1
+    assert st.stats.opens == 1
     # repeated access to the same flow still seals/opens (no cache)
     st.track(fid, 3)
-    assert st.seals >= 2 and st.opens >= 2
+    assert st.stats.seals >= 2 and st.stats.opens >= 2
 
 
 def test_strawman_rejects_tampered_cell():
@@ -77,8 +77,7 @@ def test_strawman_rejects_tampered_cell():
     fid = b"\x09" * 13
     st.track(fid, 0)
     st.track(b"\x0A" * 13, 1)
-    cell = st.table.lookup(fid, *st._hash_pair(fid)).locator
-    st._cell_view(cell)[3] ^= 1
+    env.view(st.store_region_of(fid))[3] ^= 1
     with pytest.raises(AuthFailure):
         st.track(fid, 2)
 
@@ -184,3 +183,17 @@ def test_cli_bench_missrate(tmp_path):
     ])
     assert rc == 0
     assert os.path.exists(tmp_path / "missrate.csv")
+
+
+def test_cli_bench_variants(tmp_path, capsys):
+    from enclavetap.cli import main
+
+    rc = main([
+        "bench", "variants", "--flows", "200", "--count", "5000", "--cache-entries", "64",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    with open(tmp_path / "variants_flowmeter.csv") as fp:
+        got = list(csv.DictReader(fp))
+    assert [r["value"] for r in got] == ["native", "strawman", "managed"]
+    assert "outputs identical across variants: True" in capsys.readouterr().out

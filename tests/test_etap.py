@@ -420,6 +420,15 @@ def test_write_pkt_oversize_rejected_device_keeps_sending(keys):
         dev.stop()
 
 
+def test_write_pkt_after_shutdown_raises(keys):
+    _, dev = make_device(keys)
+    dev.shutdown("test stop")
+    for blocking in (True, False):
+        with pytest.raises(DeviceShutdown):
+            dev.write_pkt(PktInfo(1, b"x" * 100), blocking=blocking)
+    assert dev.tx_ring.occupancy() == 0
+
+
 def test_tx_check_failure_shuts_device_down(keys):
     """An oversize packet that reaches the TX thread stops the device with a
     reason instead of killing the thread silently."""

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from enclavetap.bench import StrawmanState
 from enclavetap.boundary import ArenaKind, BoundaryConfig, MemoryEnv, Region
 from enclavetap.errors import AuthFailure
 from enclavetap.packets import FlowId
@@ -410,9 +411,13 @@ def test_store_free_then_alloc_reuses():
 # ----------------------------------------------------- reference equivalence
 
 def run_equivalence(capacity: int, ops: int, fids: int, seed: int, state_size: int = 24):
+    """Capacity 1 runs the strawman, which keeps at most one cached state."""
     rng = random.Random(seed)
     env = mgr_env()
-    mgr = StateManager(capacity, state_size, expiration_s=50, env=env, seed=seed)
+    if capacity == 1:
+        mgr = StrawmanState(state_size, expiration_s=50, env=env, seed=seed)
+    else:
+        mgr = StateManager(capacity, state_size, expiration_s=50, env=env, seed=seed)
     ref = RefStateModel(capacity, state_size, expiration_s=50)
     victims: list[bytes] = []
     mgr.on_evict = victims.append
@@ -450,7 +455,7 @@ def run_equivalence(capacity: int, ops: int, fids: int, seed: int, state_size: i
         assert bytes(view) == bytes(st)
 
 
-@pytest.mark.parametrize("capacity", [2, 16, 256])
+@pytest.mark.parametrize("capacity", [2, 16, 256, pytest.param(1, id="strawman")])
 def test_reference_equivalence(capacity):
     run_equivalence(capacity, ops=20_000, fids=400, seed=100 + capacity)
 
