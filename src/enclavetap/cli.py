@@ -20,11 +20,11 @@ from .bench import (
 from .channel import SocketChannel
 from .etap import EtapConfig, EtapDevice
 from .gateway import (
-    Gateway,
     GatewayConfig,
     SyntheticConfig,
     SyntheticSource,
     read_pcap,
+    run_gateway,
 )
 from .nf import Echo, FlowMeter, BufferedIds, NfRunner, PatternSet
 from .statemgmt import StateManager
@@ -64,22 +64,17 @@ def cmd_gateway(args: argparse.Namespace) -> int:
         print(f"unknown source {args.source!r}; use pcap:<path> or synth", file=sys.stderr)
         return 2
     host, port = _host_port(args.peer)
-    channel = SocketChannel.connect(host, port)
-    gw = Gateway(
-        channel,
+    stats = run_gateway(
+        source,
+        SocketChannel.connect(host, port),
         _keys(args.secret),
         GatewayConfig(
             mtu=args.mtu,
             peer_batch_size=args.peer_batch_size,
             retimestamp=args.retimestamp,
         ),
+        linger_s=args.linger_s,
     )
-    gw.start(source)
-    gw.wait_source_done()
-    import time
-
-    time.sleep(args.linger_s)
-    stats = gw.stop()
     print(
         f"sent {stats.pkts_sent} pkts / {stats.records_sent} records, "
         f"received {stats.pkts_received} pkts / {stats.records_received} records, "

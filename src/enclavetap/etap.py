@@ -16,7 +16,7 @@ frame closes the run, so a new round-trip estimate from a heartbeat
 response applies from the packet after it, and the clock ends where
 per-packet updates would put it), and the run goes onto the ring with one
 ``push_many``. A full ring still blocks rather than drops. With several
-receive rings each packet still picks its ring by flow hash. On transmit,
+receive rings each packet picks its ring by address-pair hash. On transmit,
 one pass encodes the popped packets into one buffer for the record packer
 and stops at the packet that completes the batch's last record, so the
 records sent and the packets left on the ring are those of packing packet
@@ -29,8 +29,9 @@ a short spin.
 
 The device also maintains a trusted clock fed exclusively by tunneled
 packet timestamps and heartbeat round-trip estimates, and emulates
-receive-side scaling by hashing the 5-tuple so every flow (both
-directions) lands on one ring.
+receive-side scaling by hashing the IPv4 address pair and protocol, which
+every fragment of a packet carries, so every flow (both directions) and
+every fragment of its packets land on one ring, in order.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .errors import (
     MemoryViolation,
     OversizePacket,
 )
-from .packets import canonical_fid, extract_fid
+from .packets import ETH_LEN
 from .ring import RING_VARIANTS
 from .wire import (
     DATA_HDR,
@@ -104,16 +105,28 @@ class TrustedClock:
     def now(self) -> int:
         return self.now_us
 
-    def now_s(self) -> int:
-        return self.now_us // 1_000_000
 
+def rss_select(frame: bytes, num_rings: int) -> int:
+    """Deterministic, direction-symmetric ring choice for an Ethernet frame.
 
-def rss_select(fid: bytes | None, num_rings: int) -> int:
-    """Deterministic, direction-symmetric ring choice for a 13-byte flow id."""
-    if num_rings <= 1 or not fid:
+    Hashes the IPv4 address pair (in sorted order) and the protocol, not the
+    ports: non-first fragments carry no ports, and this way every fragment
+    of a packet goes where its flow's other packets go. Frames that are not
+    IPv4 go to ring 0.
+    """
+    if (
+        num_rings <= 1
+        or len(frame) < ETH_LEN + 20
+        or frame[12] != 0x08
+        or frame[13] != 0x00
+        or frame[ETH_LEN] >> 4 != 4
+    ):
         return 0
-    fid, _ = canonical_fid(fid)
-    return zlib.crc32(fid) % num_rings
+    a = frame[ETH_LEN + 12 : ETH_LEN + 16]
+    b = frame[ETH_LEN + 16 : ETH_LEN + 20]
+    if b < a:
+        a, b = b, a
+    return zlib.crc32(a + b + frame[ETH_LEN + 9 : ETH_LEN + 10]) % num_rings
 
 
 @dataclass
@@ -233,7 +246,7 @@ class EtapDevice:
         else:
             rings = self.rx_rings
             for pkt in run:
-                ring = rings[rss_select(extract_fid(pkt.data), num_rings)]
+                ring = rings[rss_select(pkt.data, num_rings)]
                 self._spin_push_many(ring, (pkt,))
         return len(run)
 

@@ -247,7 +247,6 @@ def fragment(packet: bytes, mtu: int) -> list[bytes]:
 class GatewayConfig:
     mtu: int = 1500
     peer_batch_size: int = 10
-    idle_flush_ms: int = 5
     retimestamp: bool = False
 
 

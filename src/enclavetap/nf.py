@@ -111,7 +111,6 @@ class PatternSet:
 # --------------------------------------------------------------- flow meter
 
 _FM = struct.Struct("<QQQQBB")  # pkts, bytes, first_us, last_us, proto, tcp flag accumulator
-FLOWMETER_MIN_STATE = _FM.size
 
 
 class FlowMeterEvent(NamedTuple):
@@ -173,12 +172,6 @@ class FlowMeter:
         if now_s >= self._next_expire_s:
             self.state.expire(now_s)
             self._next_expire_s = now_s + self._expire_every_s
-
-
-def flowmeter_state_size(requested: int = 512) -> int:
-    if requested < FLOWMETER_MIN_STATE:
-        raise ValueError(f"flow meter needs at least {FLOWMETER_MIN_STATE} state bytes")
-    return requested
 
 
 # ----------------------------------------------------------------- lightweight IDS

@@ -139,21 +139,6 @@ def parse_packet(frame: bytes) -> ParsedPacket | None:
     return ParsedPacket(fid, flipped, proto, total_len, flags, seq, payload_off, payload_len)
 
 
-def extract_fid(frame: bytes) -> bytes | None:
-    """Minimal canonical flow-id extraction for ring selection."""
-    if len(frame) < ETH_LEN + 20 or frame[12] != 0x08 or frame[13] != 0x00:
-        return None
-    vihl = frame[ETH_LEN]
-    if vihl >> 4 != 4:
-        return None
-    l4_off = ETH_LEN + (vihl & 0x0F) * 4
-    proto = frame[ETH_LEN + 9]
-    if proto not in (PROTO_TCP, PROTO_UDP) or len(frame) < l4_off + 4:
-        return None
-    raw_fid = frame[ETH_LEN + 12 : ETH_LEN + 20] + frame[l4_off : l4_off + 4] + bytes((proto,))
-    return canonical_fid(raw_fid)[0]
-
-
 def ip_checksum(header: bytes) -> int:
     if len(header) & 1:
         header += b"\x00"

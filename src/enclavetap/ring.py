@@ -30,14 +30,6 @@ import threading
 DEFAULT_RING_SIZE = 256
 
 
-class RingFull(Exception):
-    pass
-
-
-class RingEmpty(Exception):
-    pass
-
-
 def _check_capacity(capacity: int) -> None:
     if capacity < 2 or capacity & (capacity - 1):
         raise ValueError("ring capacity must be a power of two >= 2")

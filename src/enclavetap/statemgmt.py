@@ -8,9 +8,14 @@ fixed working set of plaintext states ever lives in trusted memory:
   * ``flow store`` — sealed (AEAD ciphertext + 16-byte tag) state cells in
     the untrusted arena, recycled through a free list whose head/tail
     pointers stay on the trusted side.
-  * two cuckoo lookup tables — a small one indexing only cached flows
-    (searched first on every packet, so it stays cache-hot) and a large
-    growable one indexing store-resident flows.
+  * two lookup indexes — a dict from flow id to lookup entry for the cached
+    flows (searched first on every packet; a hit touches nothing else) and a
+    growable bucketized cuckoo table for the store-resident flows. The store
+    keeps the cuckoo table because it is a compact index with bounded probes
+    for millions of flows, whose per-flow metadata ``footprint_bytes``
+    models; the cache holds at most C flows, where a dict is simpler and
+    faster, and its ``bytes`` keys hash with the interpreter's per-process
+    keyed SipHash, so chosen flow ids cannot force collisions.
 
 A lookup entry records the 13-byte flow id, a locator (trusted slot offset
 or untrusted cell offset — which arena it points into tells you where the
@@ -24,13 +29,14 @@ Swaps do constant-time bookkeeping. A trusted index maps every store cell's
 offset to its view, so addressing a sealed cell is one lookup; a locator
 that is not the start of a cell (such as a free-list link the untrusted side
 rewrote to point inside a cell) is rejected with ``AuthFailure``. Every
-lookup entry records the index of its slot in the table holding it, so a
-swap removes the victim and the incoming entry without re-probing a bucket.
+store-resident lookup entry records the index of its slot in the store
+table, so a swap removes the incoming entry without re-probing a bucket.
 
 ``_evict_lru`` is the one eviction path: it seals the least-recently-tracked
-flow into a store cell, moves its entry to the store table and frees its
-slot. A miss with a full cache calls it, and so does the strawman variant in
-``bench``, which seals its one cached state back before every track.
+flow into a store cell, moves its entry from the cache index to the store
+table and frees its slot. A miss with a full cache calls it, and so does the
+strawman variant in ``bench``, which seals its one cached state back before
+every track.
 
 A manager instance is single-threaded by design: one instance per receive
 ring, no shared mutable state between instances. The state region returned
@@ -92,7 +98,7 @@ class LkupEntry:
         self.locator = 0
         self.slot: CacheSlot | None = None
         self.last_access = 0
-        self.pos = -1  # index of this entry's slot in the table holding it
+        self.pos = -1  # index of this entry's slot in the store table
 
 
 class NeedsResize(Exception):
@@ -121,13 +127,6 @@ class CuckooTable:
         self.slots: list[LkupEntry | None] = [None] * (nbuckets * self.BUCKET)
         self.count = 0
         self._rng = random.Random(seed)
-
-    @classmethod
-    def for_capacity(cls, entries: int, seed: int = 0, load_factor: float = 0.93) -> "CuckooTable":
-        nb = 1
-        while nb * cls.BUCKET * load_factor < entries:
-            nb <<= 1
-        return cls(nb, seed)
 
     @property
     def load_factor(self) -> float:
@@ -222,10 +221,9 @@ class CuckooTable:
 
 
 class CacheSlot:
-    __slots__ = ("index", "base", "view", "entry", "prev", "next")
+    __slots__ = ("base", "view", "entry", "prev", "next")
 
-    def __init__(self, index: int, base: int, view: memoryview):
-        self.index = index
+    def __init__(self, base: int, view: memoryview):
         self.base = base  # trusted-arena offset, used as the locator
         self.view = view
         self.entry: LkupEntry | None = None
@@ -290,7 +288,7 @@ def footprint_bytes(cache_entries: int, tracked_flows: int, ref_bytes: int = 8) 
 
 
 class StateManager:
-    """Bounded plaintext cache + sealed untrusted store + dual cuckoo lookup."""
+    """Bounded plaintext cache + sealed untrusted store + two lookup indexes."""
 
     def __init__(
         self,
@@ -322,18 +320,18 @@ class StateManager:
         cache_region = self.env.alloc(ArenaKind.TRUSTED, capacity * state_size)
         whole = self.env.view(cache_region)
         self._slots = [
-            CacheSlot(i, cache_region.base + i * state_size, whole[i * state_size : (i + 1) * state_size])
+            CacheSlot(cache_region.base + i * state_size, whole[i * state_size : (i + 1) * state_size])
             for i in range(capacity)
         ]
         self._free_slots = list(reversed(self._slots))
         self._zero_state = bytes(state_size)
 
-        self.cache_table = CuckooTable.for_capacity(capacity, rng.getrandbits(32))
+        self.cache_index: dict[bytes, LkupEntry] = {}  # canonical fid -> entry
         self.store_table = CuckooTable(max(64, 1 << (capacity.bit_length())), rng.getrandbits(32))
 
         # LRU list: head sentinel <-> most recent ... least recent <-> tail sentinel
-        self._lru_head = CacheSlot(-1, 0, memoryview(b""))
-        self._lru_tail = CacheSlot(-2, 0, memoryview(b""))
+        self._lru_head = CacheSlot(0, memoryview(b""))
+        self._lru_tail = CacheSlot(0, memoryview(b""))
         self._lru_head.next = self._lru_tail
         self._lru_tail.prev = self._lru_head
 
@@ -427,27 +425,9 @@ class StateManager:
         deleted; the flow is dropped and the manager stays consistent.
         """
         fid, flipped = canonical_fid(fid)
-        h1, h2 = self._hash_pair(fid)
         stats = self.stats
         stats.tracks += 1
-        # dual lookup, cache table first; inlined: this runs per packet
-        table = self.cache_table
-        slots = table.slots
-        nb = table.nbuckets
-        e = None
-        b = ((h1 * nb) >> 48) * 4
-        for s in (b, b + 1, b + 2, b + 3):
-            c = slots[s]
-            if c is not None and c.fid == fid:
-                e = c
-                break
-        if e is None:
-            b = ((h2 * nb) >> 48) * 4
-            for s in (b, b + 1, b + 2, b + 3):
-                c = slots[s]
-                if c is not None and c.fid == fid:
-                    e = c
-                    break
+        e = self.cache_index.get(fid)
         if e is not None:
             stats.hits += 1
             slot = e.slot
@@ -457,6 +437,7 @@ class StateManager:
             e.last_access = now_s
             return slot.view, False, flipped
 
+        h1, h2 = self._hash_pair(fid)
         e = self.store_table.lookup(fid, h1, h2)
         is_new = e is None
         sealed = b""
@@ -498,14 +479,14 @@ class StateManager:
         e.slot = slot
         e.locator = slot.base
         e.last_access = now_s
-        self._insert_with_resize("cache", e)
+        self.cache_index[fid] = e
         self._lru_push_front(slot)
         return slot.view, is_new, flipped
 
     def _evict_lru(self, cell_off: int) -> CacheSlot:
         """Seal the least-recently-tracked flow into store cell ``cell_off``.
 
-        Moves its lookup entry from the cache table to the store table and
+        Moves its lookup entry from the cache index to the store table and
         returns its now empty slot.
         """
         victim_slot = self._lru_tail.prev
@@ -515,36 +496,30 @@ class StateManager:
         self.stats.seals += 1
         self.stats.evictions += 1
         self._store_view(cell_off)[:] = ct
-        self.cache_table.remove_entry(victim)
+        del self.cache_index[victim.fid]
         victim.slot = None
         victim.locator = cell_off
-        self._insert_with_resize("store", victim)
+        self._store_insert(victim)
         self._lru_unlink(victim_slot)
         victim_slot.entry = None
         if self.on_evict is not None:
             self.on_evict(victim.fid)
         return victim_slot
 
-    def _insert_with_resize(self, which: str, entry: LkupEntry) -> None:
-        table = self.cache_table if which == "cache" else self.store_table
+    def _store_insert(self, entry: LkupEntry) -> None:
         while True:
             try:
-                table.insert(entry)
+                self.store_table.insert(entry)
                 return
             except NeedsResize as exc:
                 entry = exc.args[0]
-                table = table.grown()
+                self.store_table = self.store_table.grown()
                 self.stats.resizes += 1
-                if which == "cache":
-                    self.cache_table = table
-                else:
-                    self.store_table = table
 
     def terminate(self, fid: bytes) -> bool:
         """Stop tracking a flow; clears its slot or deallocates its cell."""
         fid, _ = canonical_fid(fid)
-        h1, h2 = self._hash_pair(fid)
-        e = self.cache_table.remove(fid, h1, h2)
+        e = self.cache_index.pop(fid, None)
         if e is not None:
             slot = e.slot
             slot.view[:] = self._zero_state  # nullify
@@ -553,7 +528,7 @@ class StateManager:
             self._free_slots.append(slot)
             self.stats.terminations += 1
             return True
-        e = self.store_table.remove(fid, h1, h2)
+        e = self.store_table.remove(fid, *self._hash_pair(fid))
         if e is not None:
             self.store_free(e.locator)
             self.stats.terminations += 1
@@ -582,7 +557,7 @@ class StateManager:
 
     @property
     def tracked_flows(self) -> int:
-        return self.cache_table.count + self.store_table.count
+        return len(self.cache_index) + self.store_table.count
 
     def store_region_of(self, fid: bytes) -> Region | None:
         """Locate a flow's sealed cell (testing/instrumentation hook)."""

@@ -9,8 +9,8 @@ from enclavetap.boundary import BoundaryConfig, MemoryEnv
 from enclavetap.channel import loopback_pair
 from enclavetap.errors import AuthFailure, DeviceShutdown, MemoryViolation, OversizePacket
 from enclavetap.etap import EtapConfig, EtapDevice, TrustedClock, mono_us, rss_select
-from enclavetap.gateway import PAD_RECORD
-from enclavetap.packets import FlowId, make_tcp_frame
+from enclavetap.gateway import PAD_RECORD, fragment
+from enclavetap.packets import FlowId, make_tcp_frame, make_udp_frame, parse_packet
 from enclavetap.wire import (
     FRAME_DATA,
     FRAME_HB_REQ,
@@ -82,24 +82,40 @@ def test_clock_monotonic_over_adversarial_sequence(rng):
 
 # ---------------------------------------------------------------------- rss
 
+def flow_frame(fid: FlowId) -> bytes:
+    return make_tcp_frame(fid.src_ip, fid.dst_ip, fid.src_port, fid.dst_port)
+
+
+def rand_flow(rng) -> FlowId:
+    return FlowId(rng.randbytes(4), rng.randbytes(4), rng.randrange(65536), rng.randrange(65536), 6)
+
+
 def test_rss_single_ring_always_zero(rng):
     for _ in range(100):
-        assert rss_select(rng.randbytes(13), 1) == 0
+        assert rss_select(flow_frame(rand_flow(rng)), 1) == 0
 
 
 def test_rss_symmetric_under_direction_swap(rng):
     for _ in range(500):
-        fid = FlowId(rng.randbytes(4), rng.randbytes(4), rng.randrange(65536), rng.randrange(65536), 6)
-        assert rss_select(fid.pack(), 4) == rss_select(fid.reversed().pack(), 4)
+        fid = rand_flow(rng)
+        assert rss_select(flow_frame(fid), 4) == rss_select(flow_frame(fid.reversed()), 4)
 
 
 def test_rss_balance(rng):
     counts = [0, 0, 0, 0]
     flows = 20_000
     for _ in range(flows):
-        counts[rss_select(rng.randbytes(13), 4)] += 1
+        counts[rss_select(flow_frame(rand_flow(rng)), 4)] += 1
     for c in counts:
         assert abs(c / flows - 0.25) < 0.03
+
+
+def test_rss_ignores_ports_and_non_ipv4(rng):
+    a, b = bytes([10, 0, 0, 1]), bytes([10, 0, 0, 2])
+    rings = {rss_select(make_tcp_frame(a, b, rng.randrange(65536), 80), 8) for _ in range(50)}
+    assert len(rings) == 1  # ports do not move a frame to another ring
+    assert rss_select(b"\x00" * 60, 4) == 0  # not IPv4
+    assert rss_select(make_udp_frame(a, b, 1, 2)[:30], 4) == 0  # truncated IPv4 header
 
 
 # ------------------------------------------------------------------ RX loop
@@ -195,7 +211,7 @@ def test_rx_rss_partition_and_per_flow_order(keys):
     for i in range(40):
         src = bytes([10, 0, 0, i + 1])
         dst = bytes([10, 9, 9, 9])
-        fid = FlowId(src, dst, 1000 + i, 80, 6).pack()
+        fid = FlowId(src, dst, 1000 + i, 80, 6)
         flows.append(fid)
         for k in range(5):
             frames.append(Frame(FRAME_DATA, i, make_tcp_frame(src, dst, 1000 + i, 80, bytes([k]))))
@@ -208,17 +224,36 @@ def test_rx_rss_partition_and_per_flow_order(keys):
             if pkt is None:
                 break
             per_ring[idx].append(pkt.data)
-    from enclavetap.packets import extract_fid
-
     for idx, pkts in per_ring.items():
         for data in pkts:
-            assert rss_select(extract_fid(data), 2) == idx
+            assert rss_select(data, 2) == idx
     # per-flow order preserved
     for fid in flows:
-        ring_idx = rss_select(fid, 2)
-        seq = [d[-1] for d in per_ring[ring_idx] if extract_fid(d) == fid]
+        ring_idx = rss_select(flow_frame(fid), 2)
+        seq = [d[-1] for d in per_ring[ring_idx] if parse_packet(d).fid == fid.pack()]
         assert seq == [0, 1, 2, 3, 4]
     assert sum(len(v) for v in per_ring.values()) == 200
+
+
+@pytest.mark.parametrize("num_rings", [2, 4])
+def test_rx_rss_fragments_share_their_flows_ring(keys, num_rings):
+    """A packet's fragments and its flow's next packet come off one ring, in order."""
+    ch_gw, dev = make_device(keys, batch_size=1, num_rx_rings=num_rings, ring_size=64)
+    sealer = keys.gateway_sealer()
+    a, b = bytes([10, 0, 0, 1]), bytes([10, 0, 0, 2])
+    frags = fragment(make_tcp_frame(a, b, 1234, 80, bytes(range(256)) * 12), 1500)
+    assert len(frags) == 3
+    sent = frags + [make_tcp_frame(a, b, 1234, 80, b"later")]
+    records = send_batch(ch_gw, sealer, [Frame(FRAME_DATA, k, d) for k, d in enumerate(sent)], 1)
+    for _ in range(records):
+        dev.rx_loop_iteration()
+    per_ring = []
+    for idx in range(num_rings):
+        got = []
+        while (pkt := dev.read_pkt(idx, blocking=False)) is not None:
+            got.append(pkt.data)
+        per_ring.append(got)
+    assert [got for got in per_ring if got] == [sent]
 
 
 def test_rx_heartbeats_mid_record_clock_matches_per_packet(keys):

@@ -9,7 +9,6 @@ from enclavetap.packets import (
     TCP_FIN,
     FlowId,
     canonical_fid,
-    extract_fid,
     ip_checksum,
     make_tcp_frame,
     make_udp_frame,
@@ -77,11 +76,6 @@ def test_parse_both_directions_same_fid():
 def test_parse_rejects_non_ip():
     assert parse_packet(b"\x00" * 60) is None
     assert parse_packet(b"") is None
-
-
-def test_extract_fid_matches_parse():
-    frame = make_tcp_frame(A, B, 4321, 443, b"zz")
-    assert extract_fid(frame) == parse_packet(frame).fid
 
 
 def test_built_ip_header_checksums_to_zero():

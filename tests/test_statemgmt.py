@@ -466,13 +466,15 @@ def test_dual_table_partition(rng):
     r = random.Random(1)
     for i in range(500):
         mgr.track(r.choice(fids), i)
-    cache_fids = {e.fid for e in mgr.cache_table.entries()}
+    cache_fids = {e.fid for e in mgr.cache_index.values()}
     store_fids = {e.fid for e in mgr.store_table.entries()}
     assert not (cache_fids & store_fids)
     assert len(cache_fids) == mgr.cached_flows
+    assert len(mgr.cache_index) <= mgr.capacity
     assert mgr.tracked_flows == len(cache_fids | store_fids)
     # locator arena membership decides residency
-    for e in mgr.cache_table.entries():
+    for e in mgr.cache_index.values():
+        assert e.slot.entry is e
         assert not mgr.env.is_untrusted(
             __import__("enclavetap.boundary", fromlist=["Region"]).Region(e.locator, 1)
         )
