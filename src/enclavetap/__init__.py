@@ -37,7 +37,7 @@ from .gateway import (
 from .nf import Echo, FlowMeter, BufferedIds, NfRunner, PatternSet, pcap_compat_loop, pcap_compat_next
 from .packets import FlowId, canonical_fid, parse_packet
 from .ring import MutexRing, NaiveLamportRing, PktRing, SpinLockRing
-from .statemgmt import CuckooTable, StateManager, footprint_bytes, open_state, seal_state
+from .statemgmt import StateManager, footprint_bytes, open_state, seal_state
 from .wire import (
     ChannelKeys,
     Frame,

@@ -98,7 +98,7 @@ class StrawmanState(StateManager):
 
     One cached state, sealed back into a store cell before each track, so
     every track of a known flow pays one open and the flow tracked before it
-    one seal, through the same store, free list and lookup indexes as the
+    one seal, through the same store, free list and lookup index as the
     managed variant.
     """
 

@@ -123,7 +123,8 @@ def cmd_nf(args: argparse.Namespace) -> int:
     runner.join(timeout=None if args.run_s == 0 else args.run_s)
     device.stop()
     total = runner.processed_total
-    print(f"processed {total} packets across {args.rings} ring(s)")
+    reason = device.shutdown_reason
+    print(f"processed {total} packets across {args.rings} ring(s); device shut down: {reason}")
     if args.events and args.nf in ("flowmeter", "ids"):
         with open(args.events, "w", newline="") as fp:
             w = csv.writer(fp)
@@ -135,7 +136,7 @@ def cmd_nf(args: argparse.Namespace) -> int:
                     else:
                         w.writerow([e.ts_us, e.fid.hex(), "match", f"pattern={e.pattern_id};end={e.end_offset}"])
         print(f"events written to {args.events}")
-    return 0
+    return 0 if reason in ("stopped", "channel closed") else 1
 
 
 def cmd_bench_sweep(args: argparse.Namespace) -> int:

@@ -21,7 +21,14 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import AuthFailure, ChannelClosed, MalformedPcap, TruncatedPacket, Unfragmentable
+from .errors import (
+    AuthFailure,
+    ChannelClosed,
+    EnclaveTapError,
+    MalformedPcap,
+    TruncatedPacket,
+    Unfragmentable,
+)
 from .etap import mono_us
 from .packets import ip_checksum, make_tcp_frame, make_udp_frame
 from .wire import (
@@ -269,7 +276,10 @@ class Gateway:
 
     The sender thread owns all sealing state; the receiver thread owns all
     opening state; they share only the channel, the stats counters, and a
-    queue of control frames the receiver asks the sender to emit.
+    queue of control frames the receiver asks the sender to emit. When the
+    receiver stops, ``recv_stop_reason`` says why; a library error on the
+    receive side (a record failing authentication, a malformed frame) also
+    closes the channel.
     """
 
     def __init__(
@@ -292,6 +302,7 @@ class Gateway:
         self._stop = False
         self._source_done = threading.Event()
         self._recv_cond = threading.Condition()
+        self.recv_stop_reason: str | None = None
         self._unaligned = 0  # records sent since last batch boundary
         self._threads: list[threading.Thread] = []
 
@@ -371,7 +382,6 @@ class Gateway:
             plaintext = self._opener.open(sealed)
         except AuthFailure:
             self.stats.auth_failures += 1
-            self.channel.close()
             raise
         self.stats.records_received += 1
         for frame in self._parser.feed(plaintext):
@@ -389,12 +399,19 @@ class Gateway:
             self._recv_cond.notify_all()
 
     def _receiver_main(self) -> None:
+        reason = "stopped"
         try:
             while not self._stop:
                 self._recv_one()
-        except (ChannelClosed, AuthFailure):
-            with self._recv_cond:
-                self._recv_cond.notify_all()
+        except ChannelClosed:
+            if not self._stop:
+                reason = "channel closed"
+        except EnclaveTapError as exc:
+            reason = f"receive check failed: {exc}"
+            self.channel.close()
+        with self._recv_cond:
+            self.recv_stop_reason = reason
+            self._recv_cond.notify_all()
 
     # ------------------------------------------------------------- lifecycle
 
@@ -409,11 +426,12 @@ class Gateway:
         return self._source_done.wait(timeout)
 
     def wait_received(self, n: int, timeout: float = 60.0) -> bool:
+        """Wait until ``n`` packets arrived; False on timeout or once the receiver stopped."""
         deadline = time.monotonic() + timeout
         with self._recv_cond:
             while self.stats.pkts_received < n:
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                if remaining <= 0 or self.recv_stop_reason is not None:
                     return False
                 self._recv_cond.wait(min(remaining, 0.1))
         return True

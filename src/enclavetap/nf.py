@@ -11,7 +11,10 @@ cached state, sealed back before each track).
 
 Timing inside the NFs derives from packet timestamps (monotonically
 clamped), so identical input packets produce identical outputs regardless
-of backend or wall-clock speed.
+of backend or wall-clock speed. A flow whose sealed state fails
+authentication is dropped by the state manager; the NF counts it in
+``auth_failures``, passes the packet on, and sees the flow's next packet as
+a new flow.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import struct
 import threading
 from typing import Callable, NamedTuple
 
-from .errors import DeviceShutdown
+from .errors import AuthFailure, DeviceShutdown
 from .packets import (
     PROTO_TCP,
     TCP_FIN,
@@ -133,6 +136,7 @@ class FlowMeter:
         self.events: list[FlowMeterEvent] = []
         self.emit_events = emit_events
         self.parse_failures = 0
+        self.auth_failures = 0
         self._now_s = 0
         self._next_expire_s = 0
         self._expire_every_s = expire_every_s
@@ -150,7 +154,11 @@ class FlowMeter:
         if now_s > self._now_s:
             self._now_s = now_s
         now_s = self._now_s
-        view, is_new, _ = self.state.track(pp.fid, now_s)
+        try:
+            view, is_new, _ = self.state.track(pp.fid, now_s)
+        except AuthFailure:
+            self.auth_failures += 1  # the manager dropped the flow
+            return
         if is_new:
             pkts = n_bytes = 0
             first = ts_us
@@ -205,6 +213,7 @@ class BufferedIds:
         self.events: list[IdsEvent] = []
         self.bypassed = 0
         self.ooo_dropped = 0
+        self.auth_failures = 0
         self._now_s = 0
         self._next_expire_s = 0
         self._expire_every_s = expire_every_s
@@ -225,7 +234,11 @@ class BufferedIds:
         if now_s > self._now_s:
             self._now_s = now_s
         now_s = self._now_s
-        view, is_new, _ = self.state.track(pp.fid, now_s)
+        try:
+            view, is_new, _ = self.state.track(pp.fid, now_s)
+        except AuthFailure:
+            self.auth_failures += 1  # the manager dropped the flow
+            return
         if is_new:
             expected = pp.tcp_seq
             buf_len = 0

@@ -8,18 +8,21 @@ fixed working set of plaintext states ever lives in trusted memory:
   * ``flow store`` — sealed (AEAD ciphertext + 16-byte tag) state cells in
     the untrusted arena, recycled through a free list whose head/tail
     pointers stay on the trusted side.
-  * two lookup indexes — a dict from flow id to lookup entry for the cached
-    flows (searched first on every packet; a hit touches nothing else) and a
-    growable bucketized cuckoo table for the store-resident flows. The store
-    keeps the cuckoo table because it is a compact index with bounded probes
-    for millions of flows, whose per-flow metadata ``footprint_bytes``
-    models; the cache holds at most C flows, where a dict is simpler and
-    faster, and its ``bytes`` keys hash with the interpreter's per-process
-    keyed SipHash, so chosen flow ids cannot force collisions.
+  * ``flows`` — one dict from canonical flow id to lookup entry for every
+    tracked flow, cached or sealed. One ``get`` serves a cache hit and a
+    store hit alike; a swap only repoints the entry, so the store keeps no
+    second structure. The paper keeps store-resident entries in a
+    bucketized cuckoo table, a compact index with bounded probes in C; in
+    CPython such a table is a list of references to the same entry objects
+    the dict holds and buys nothing. The ``bytes`` keys hash with the
+    interpreter's per-process keyed SipHash, so chosen flow ids cannot force
+    collisions. ``footprint_bytes`` still models the per-flow metadata of
+    the compact C index.
 
 A lookup entry records the 13-byte flow id, a locator (trusted slot offset
 or untrusted cell offset — which arena it points into tells you where the
-state lives), a swap counter, and the last-access second. The swap counter
+state lives), the cache slot (``None`` exactly when the flow is sealed in
+the store), a swap counter, and the last-access second. The swap counter
 starts at a random 64-bit value and increments on every swap-out; it is
 bound into both the AEAD nonce and the associated data together with the
 flow id, so a stale or transplanted ciphertext can never be swapped back
@@ -28,15 +31,12 @@ in, and two seals of identical state never produce linkable ciphertexts.
 Swaps do constant-time bookkeeping. A trusted index maps every store cell's
 offset to its view, so addressing a sealed cell is one lookup; a locator
 that is not the start of a cell (such as a free-list link the untrusted side
-rewrote to point inside a cell) is rejected with ``AuthFailure``. Every
-store-resident lookup entry records the index of its slot in the store
-table, so a swap removes the incoming entry without re-probing a bucket.
+rewrote to point inside a cell) is rejected with ``AuthFailure``.
 
 ``_evict_lru`` is the one eviction path: it seals the least-recently-tracked
-flow into a store cell, moves its entry from the cache index to the store
-table and frees its slot. A miss with a full cache calls it, and so does the
-strawman variant in ``bench``, which seals its one cached state back before
-every track.
+flow into a store cell, points its entry at that cell and frees its slot. A
+miss with a full cache calls it, and so does the strawman variant in
+``bench``, which seals its one cached state back before every track.
 
 A manager instance is single-threaded by design: one instance per receive
 ring, no shared mutable state between instances. The state region returned
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -58,166 +58,18 @@ from .errors import AuthFailure
 from .packets import canonical_fid
 
 U64 = 0xFFFFFFFFFFFFFFFF
-_M104 = (1 << 104) - 1
-HASH_BITS = 48
-
-# modeled per-entry byte costs (8-byte references)
-CACHE_ENTRY_OVERHEAD = 24  # two LRU links + back pointer
-LKUP_ENTRY_BYTES = 33  # 13-byte fid + 8-byte locator + 8-byte counter + 4-byte seconds
 MAC_LEN = 16
 
 
-def make_hash_pair(seed: int) -> Callable[[bytes], tuple[int, int]]:
-    """Two independent keyed 48-bit hashes of a 13-byte flow id.
-
-    Multiply-shift over the little-endian integer of the fid with random
-    odd 104-bit multipliers (matching the input width), keeping the top 48
-    bits of the mod-2^104 product. Entropy lands in the high output bits,
-    so consumers must derive bucket indices from the top (the tables use a
-    fixed-point range map), never by masking the low bits.
-    """
-    rng = random.Random(seed)
-    k1 = rng.getrandbits(104) | 1
-    k2 = rng.getrandbits(104) | 1
-
-    def hash_pair(fid: bytes) -> tuple[int, int]:
-        x = int.from_bytes(fid, "little")
-        return ((x * k1) & _M104) >> 56, ((x * k2) & _M104) >> 56
-
-    return hash_pair
-
-
 class LkupEntry:
-    __slots__ = ("fid", "locator", "slot", "swap_count", "last_access", "h1", "h2", "pos")
+    __slots__ = ("fid", "locator", "slot", "swap_count", "last_access")
 
-    def __init__(self, fid: bytes, h1: int, h2: int, swap_count: int):
+    def __init__(self, fid: bytes, swap_count: int):
         self.fid = fid
-        self.h1 = h1
-        self.h2 = h2
         self.swap_count = swap_count
         self.locator = 0
-        self.slot: CacheSlot | None = None
+        self.slot: CacheSlot | None = None  # None while the flow is sealed in the store
         self.last_access = 0
-        self.pos = -1  # index of this entry's slot in the store table
-
-
-class NeedsResize(Exception):
-    """Cuckoo insert exceeded its displacement bound; grow and retry."""
-
-
-class CuckooTable:
-    """Bucketized cuckoo hash table: two hash functions, four slots per bucket.
-
-    Keys live in one of their two candidate buckets; inserts relocate via a
-    bounded random-walk eviction chain. Entries cache their two hash values
-    so displacement and resizing never rehash, and record the index of the
-    slot holding them so a caller that has the entry removes it without
-    probing.
-    """
-
-    BUCKET = 4
-    MAX_DISPLACEMENTS = 500
-
-    __slots__ = ("nbuckets", "slots", "count", "_rng")
-
-    def __init__(self, nbuckets: int, seed: int = 0):
-        if nbuckets < 1 or nbuckets & (nbuckets - 1):
-            raise ValueError("bucket count must be a power of two")
-        self.nbuckets = nbuckets
-        self.slots: list[LkupEntry | None] = [None] * (nbuckets * self.BUCKET)
-        self.count = 0
-        self._rng = random.Random(seed)
-
-    @property
-    def load_factor(self) -> float:
-        return self.count / (self.nbuckets * self.BUCKET)
-
-    def bucket_of(self, h: int) -> int:
-        # fixed-point range map: consumes the high (well-mixed) hash bits
-        return (h * self.nbuckets) >> HASH_BITS
-
-    def lookup(self, fid: bytes, h1: int, h2: int) -> LkupEntry | None:
-        slots = self.slots
-        nb = self.nbuckets
-        b = ((h1 * nb) >> 48) * 4
-        for s in (b, b + 1, b + 2, b + 3):
-            e = slots[s]
-            if e is not None and e.fid == fid:
-                return e
-        b = ((h2 * nb) >> 48) * 4
-        for s in (b, b + 1, b + 2, b + 3):
-            e = slots[s]
-            if e is not None and e.fid == fid:
-                return e
-        return None
-
-    def _place(self, entry: LkupEntry) -> bool:
-        slots = self.slots
-        nb = self.nbuckets
-        for h in (entry.h1, entry.h2):
-            b = ((h * nb) >> 48) * 4
-            for s in (b, b + 1, b + 2, b + 3):
-                if slots[s] is None:
-                    slots[s] = entry
-                    entry.pos = s
-                    return True
-        return False
-
-    def insert(self, entry: LkupEntry) -> None:
-        """Insert; raises ``NeedsResize`` after the displacement bound.
-
-        On failure the table still holds the same multiset of entries plus
-        ``entry`` minus the homeless one carried by the exception, so the
-        caller can grow the table and re-insert ``exc.args[0]``.
-        """
-        if self._place(entry):
-            self.count += 1
-            return
-        slots = self.slots
-        nb = self.nbuckets
-        rng = self._rng
-        cur = entry
-        for _ in range(self.MAX_DISPLACEMENTS):
-            h = cur.h1 if rng.random() < 0.5 else cur.h2
-            s = ((h * nb) >> 48) * 4 + rng.randrange(4)
-            cur.pos = s
-            cur, slots[s] = slots[s], cur
-            if self._place(cur):
-                self.count += 1
-                return
-        raise NeedsResize(cur)
-
-    def remove(self, fid: bytes, h1: int, h2: int) -> LkupEntry | None:
-        slots = self.slots
-        nb = self.nbuckets
-        for h in (h1, h2):
-            b = ((h * nb) >> 48) * 4
-            for s in (b, b + 1, b + 2, b + 3):
-                e = slots[s]
-                if e is not None and e.fid == fid:
-                    slots[s] = None
-                    self.count -= 1
-                    return e
-        return None
-
-    def remove_entry(self, entry: LkupEntry) -> None:
-        """Remove an entry this table holds, by its recorded slot index."""
-        s = entry.pos
-        assert self.slots[s] is entry, "lookup entry is not at its recorded slot"
-        self.slots[s] = None
-        self.count -= 1
-
-    def entries(self) -> Iterator[LkupEntry]:
-        for e in self.slots:
-            if e is not None:
-                yield e
-
-    def grown(self) -> "CuckooTable":
-        """Return a table of twice the buckets holding all current entries."""
-        new = CuckooTable(self.nbuckets * 2, self._rng.getrandbits(32))
-        for e in self.entries():
-            new.insert(e)  # cannot practically fail at half load
-        return new
 
 
 class CacheSlot:
@@ -260,7 +112,7 @@ class StateStats:
     expirations: int = 0
     auth_failures: int = 0
     store_grows: int = 0
-    resizes: int = 0
+    resizes: int = 0  # the dict index never resizes: perfbench's statemgmt.resizes reads 0
 
     @property
     def misses(self) -> int:
@@ -288,7 +140,7 @@ def footprint_bytes(cache_entries: int, tracked_flows: int, ref_bytes: int = 8) 
 
 
 class StateManager:
-    """Bounded plaintext cache + sealed untrusted store + two lookup indexes."""
+    """Bounded plaintext cache + sealed untrusted store, one dict indexing both."""
 
     def __init__(
         self,
@@ -312,7 +164,6 @@ class StateManager:
 
         rng = random.Random(seed)
         self._rng = rng
-        self._hash_pair = make_hash_pair(rng.getrandbits(64))
         # key and IV drawn at init; they never leave the trusted side
         self._aead = AESGCM(rng.randbytes(16))
         self._iv4 = rng.randbytes(4)
@@ -326,8 +177,7 @@ class StateManager:
         self._free_slots = list(reversed(self._slots))
         self._zero_state = bytes(state_size)
 
-        self.cache_index: dict[bytes, LkupEntry] = {}  # canonical fid -> entry
-        self.store_table = CuckooTable(max(64, 1 << (capacity.bit_length())), rng.getrandbits(32))
+        self.flows: dict[bytes, LkupEntry] = {}  # canonical fid -> entry, cached or stored
 
         # LRU list: head sentinel <-> most recent ... least recent <-> tail sentinel
         self._lru_head = CacheSlot(0, memoryview(b""))
@@ -427,8 +277,8 @@ class StateManager:
         fid, flipped = canonical_fid(fid)
         stats = self.stats
         stats.tracks += 1
-        e = self.cache_index.get(fid)
-        if e is not None:
+        e = self.flows.get(fid)
+        if e is not None and e.slot is not None:
             stats.hits += 1
             slot = e.slot
             if self._lru_head.next is not slot:
@@ -437,13 +287,11 @@ class StateManager:
             e.last_access = now_s
             return slot.view, False, flipped
 
-        h1, h2 = self._hash_pair(fid)
-        e = self.store_table.lookup(fid, h1, h2)
         is_new = e is None
         sealed = b""
         if is_new:
             stats.new_flows += 1
-            e = LkupEntry(fid, h1, h2, self._rng.getrandbits(64))
+            e = LkupEntry(fid, self._rng.getrandbits(64))
         else:
             stats.store_hits += 1
             incoming_off = e.locator
@@ -462,32 +310,30 @@ class StateManager:
 
         if is_new:
             slot.view[:] = self._zero_state
+            self.flows[fid] = e
         else:
             try:
                 plaintext = open_state(self._aead, self._iv4, fid, e.swap_count, sealed)
             except AuthFailure:
                 stats.auth_failures += 1
                 # drop the flow: its lookup entry goes away, the slot stays free
-                self.store_table.remove_entry(e)
+                del self.flows[fid]
                 self._free_slots.append(slot)
                 raise
             stats.opens += 1
             slot.view[:] = plaintext
-            self.store_table.remove_entry(e)
 
         slot.entry = e
         e.slot = slot
         e.locator = slot.base
         e.last_access = now_s
-        self.cache_index[fid] = e
         self._lru_push_front(slot)
         return slot.view, is_new, flipped
 
     def _evict_lru(self, cell_off: int) -> CacheSlot:
         """Seal the least-recently-tracked flow into store cell ``cell_off``.
 
-        Moves its lookup entry from the cache index to the store table and
-        returns its now empty slot.
+        Points its lookup entry at that cell and returns its now empty slot.
         """
         victim_slot = self._lru_tail.prev
         victim = victim_slot.entry
@@ -496,55 +342,43 @@ class StateManager:
         self.stats.seals += 1
         self.stats.evictions += 1
         self._store_view(cell_off)[:] = ct
-        del self.cache_index[victim.fid]
         victim.slot = None
         victim.locator = cell_off
-        self._store_insert(victim)
         self._lru_unlink(victim_slot)
         victim_slot.entry = None
         if self.on_evict is not None:
             self.on_evict(victim.fid)
         return victim_slot
 
-    def _store_insert(self, entry: LkupEntry) -> None:
-        while True:
-            try:
-                self.store_table.insert(entry)
-                return
-            except NeedsResize as exc:
-                entry = exc.args[0]
-                self.store_table = self.store_table.grown()
-                self.stats.resizes += 1
-
     def terminate(self, fid: bytes) -> bool:
         """Stop tracking a flow; clears its slot or deallocates its cell."""
         fid, _ = canonical_fid(fid)
-        e = self.cache_index.pop(fid, None)
-        if e is not None:
-            slot = e.slot
+        e = self.flows.pop(fid, None)
+        if e is None:
+            return False
+        slot = e.slot
+        if slot is not None:
             slot.view[:] = self._zero_state  # nullify
             self._lru_unlink(slot)
             slot.entry = None
             self._free_slots.append(slot)
-            self.stats.terminations += 1
-            return True
-        e = self.store_table.remove(fid, *self._hash_pair(fid))
-        if e is not None:
+        else:
             self.store_free(e.locator)
-            self.stats.terminations += 1
-            return True
-        return False
+        self.stats.terminations += 1
+        return True
 
     def expire(self, now_s: int) -> int:
         """Remove store-resident flows idle past the timeout.
 
-        Walks only the large lookup table: cache-resident flows are recent
-        by construction and are not examined.
+        Cache-resident flows are recent by construction and are skipped.
         """
         timeout = self.expiration_s
-        expired = [e for e in self.store_table.entries() if now_s - e.last_access > timeout]
+        flows = self.flows
+        expired = [
+            e for e in flows.values() if e.slot is None and now_s - e.last_access > timeout
+        ]
         for e in expired:
-            self.store_table.remove_entry(e)
+            del flows[e.fid]
             self.store_free(e.locator)
         self.stats.expirations += len(expired)
         return len(expired)
@@ -557,13 +391,12 @@ class StateManager:
 
     @property
     def tracked_flows(self) -> int:
-        return len(self.cache_index) + self.store_table.count
+        return len(self.flows)
 
     def store_region_of(self, fid: bytes) -> Region | None:
         """Locate a flow's sealed cell (testing/instrumentation hook)."""
         fid, _ = canonical_fid(fid)
-        h1, h2 = self._hash_pair(fid)
-        e = self.store_table.lookup(fid, h1, h2)
-        if e is None:
+        e = self.flows.get(fid)
+        if e is None or e.slot is not None:
             return None
         return Region(e.locator, self._entry_size)

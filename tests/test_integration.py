@@ -6,10 +6,11 @@ import pytest
 
 from enclavetap.boundary import BoundaryConfig, MemoryEnv
 from enclavetap.channel import SocketChannel, loopback_pair
+from enclavetap.errors import ChannelClosed
 from enclavetap.etap import EtapConfig, EtapDevice
 from enclavetap.gateway import Gateway, GatewayConfig, SyntheticConfig, SyntheticSource, fragment
 from enclavetap.nf import Echo, NfRunner
-from enclavetap.wire import SEALED_RECORD_LEN, ChannelKeys
+from enclavetap.wire import RECORD_LEN, SEALED_RECORD_LEN
 
 
 def small_env():
@@ -104,6 +105,22 @@ def test_gateway_auth_failure_on_garbage(keys):
     assert stats.auth_failures == 1
 
 
+def test_gateway_malformed_frame_stops_receiver_and_wakes_waiters(keys):
+    ch_gw, ch_dev = loopback_pair()
+    gw = Gateway(ch_gw, keys, GatewayConfig())
+    gw.start(iter(()))
+    # authentic record whose first frame has an unknown type byte
+    ch_dev.send(keys.device_sealer().seal(b"\x07" + bytes(RECORD_LEN - 1)))
+    t0 = time.monotonic()
+    assert gw.wait_received(1, timeout=30) is False
+    assert time.monotonic() - t0 < 1.0
+    assert gw.recv_stop_reason.startswith("receive check failed")
+    with pytest.raises(ChannelClosed):
+        ch_dev.recv_exact(1)
+    gw.stop()
+    assert gw.stats.records_received == 1 and gw.stats.pkts_received == 0
+
+
 def test_tunneled_stream_bitwise_deterministic(keys):
     """Same source config and keys produce the identical ciphertext stream."""
 
@@ -155,3 +172,43 @@ def test_echo_round_trip_over_tcp_socket(keys):
         dev_holder["dev"].stop()
     assert ok
     assert Counter(p.data for p in received) == Counter(expected)
+
+
+@pytest.mark.parametrize("garbage", [False, True], ids=["peer-closes", "bad-record"])
+def test_cli_nf_run_reports_shutdown_reason(capsys, garbage):
+    import socket
+
+    from enclavetap.cli import main
+
+    srv = socket.socket()
+    srv.bind(("127.0.0.1", 0))
+    port = srv.getsockname()[1]
+    srv.close()
+    result = {}
+    cli = threading.Thread(
+        target=lambda: result.update(rc=main([
+            "nf", "run", "--nf", "echo", "--peer-listen", f"127.0.0.1:{port}", "--batch-size", "1",
+        ])),
+        daemon=True,
+    )
+    cli.start()
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            peer = socket.create_connection(("127.0.0.1", port), timeout=1)
+            break
+        except OSError:
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+    if garbage:
+        peer.sendall(b"\x00" * SEALED_RECORD_LEN)  # fails authentication
+    peer.close()
+    cli.join(10)
+    assert not cli.is_alive()
+    out = capsys.readouterr().out
+    if garbage:
+        assert result["rc"] == 1
+        assert "device shut down: record check failed" in out
+    else:
+        assert result["rc"] == 0
+        assert "device shut down: channel closed" in out

@@ -1,15 +1,13 @@
-import random
-import struct
-
 import pytest
 
 from enclavetap.bench import NativeState, StrawmanState
 from enclavetap.boundary import BoundaryConfig, MemoryEnv
 from enclavetap.channel import loopback_pair
 from enclavetap.etap import EtapConfig, EtapDevice
-from enclavetap.gateway import PAD_RECORD, SyntheticConfig, SyntheticSource
+from enclavetap.gateway import SyntheticConfig, SyntheticSource
 from enclavetap.nf import (
     _FM,
+    _IDS_HDR,
     IDS_BUF_CAP,
     IDS_STATE_SIZE,
     Echo,
@@ -149,6 +147,34 @@ def test_flowmeter_oblivious_to_cache_size():
     native = run(NativeState(512, 1 << 30))
     strawman = run(StrawmanState(512, 1 << 30, env=mk_env(), seed=3))
     assert big == small == native == strawman
+
+
+@pytest.mark.parametrize("kind", ["flowmeter", "ids"])
+def test_nf_drops_flow_whose_state_fails_authentication(kind):
+    env = mk_env()
+    mgr = StateManager(2, IDS_STATE_SIZE, expiration_s=1 << 30, env=env, seed=9)
+    nf = FlowMeter(mgr) if kind == "flowmeter" else BufferedIds(mgr, PatternSet([b"evil"]))
+    for sport in (1000, 1001, 1002):  # a cache of two seals flow 1000 out
+        nf.process(PktInfo(sport, make_tcp_frame(A, B, sport, 80, b"ab", seq=0)))
+    fid = parse_packet(make_tcp_frame(A, B, 1000, 80, b"")).fid
+    env.view(mgr.store_region_of(fid))[5] ^= 1
+    new_flows = mgr.stats.new_flows
+
+    pkt = PktInfo(10, make_tcp_frame(A, B, 1000, 80, b"cd", seq=2))
+    assert nf.process(pkt) is pkt
+    assert nf.auth_failures == 1 and mgr.stats.auth_failures == 1
+    assert mgr.tracked_flows == 2 and mgr.store_region_of(fid) is None
+
+    nf.process(PktInfo(11, make_tcp_frame(A, B, 1000, 80, b"ef", seq=4)))
+    assert mgr.stats.new_flows == new_flows + 1
+    assert nf.auth_failures == 1
+    view, is_new, _ = mgr.track(fid, 12)
+    assert not is_new
+    if kind == "flowmeter":
+        assert [e.fid for e in nf.events if e.kind == "new"].count(fid) == 2
+        assert unpack_fm(view)[0] == 1  # counting restarted with the flow
+    else:
+        assert _IDS_HDR.unpack_from(view, 0)[0] == 6  # next in-order seq after b"ef"
 
 
 # ----------------------------------------------------------------------- ids

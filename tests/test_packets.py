@@ -1,5 +1,3 @@
-import pytest
-
 from enclavetap.boundary import BoundaryConfig, MemoryEnv
 from enclavetap.gateway import fragment
 from enclavetap.nf import FlowMeter

@@ -3,16 +3,13 @@ import random
 import pytest
 
 from enclavetap.bench import StrawmanState
-from enclavetap.boundary import ArenaKind, BoundaryConfig, MemoryEnv, Region
+from enclavetap.boundary import BoundaryConfig, MemoryEnv, Region
 from enclavetap.errors import AuthFailure
 from enclavetap.packets import FlowId
 from enclavetap.statemgmt import (
-    CuckooTable,
     LkupEntry,
-    NeedsResize,
     StateManager,
     footprint_bytes,
-    make_hash_pair,
     open_state,
     seal_state,
 )
@@ -93,94 +90,6 @@ def test_open_wrong_counter_fails(rng):
     sealed = seal_state(aead, iv, fid_n(1), 5, bytes(64))
     with pytest.raises(AuthFailure):
         open_state(aead, iv, fid_n(1), 6, sealed)
-
-
-# ------------------------------------------------------------------- cuckoo
-
-def test_cuckoo_insert_lookup_remove(rng):
-    hp = make_hash_pair(1)
-    t = CuckooTable(64)
-    fid = rand_fid(rng)
-    h1, h2 = hp(fid)
-    e = LkupEntry(fid, h1, h2, 0)
-    t.insert(e)
-    assert t.lookup(fid, h1, h2) is e
-    assert t.count == 1
-    assert t.remove(fid, h1, h2) is e
-    assert t.lookup(fid, h1, h2) is None
-    assert t.count == 0
-
-
-def test_cuckoo_93_percent_load(rng):
-    hp = make_hash_pair(99)
-    ok = 0
-    trials = 20
-    for trial in range(trials):
-        t = CuckooTable(256, seed=trial)
-        target = int(256 * 4 * 0.93)
-        try:
-            for _ in range(target):
-                fid = rng.randbytes(13)
-                h1, h2 = hp(fid)
-                t.insert(LkupEntry(fid, h1, h2, 0))
-            ok += 1
-        except NeedsResize:
-            pass
-    assert ok >= trials - 1
-
-
-def test_cuckoo_differential_vs_dict(rng):
-    hp = make_hash_pair(2)
-    t = CuckooTable(4)  # starts small so inserts displace and the table grows
-    model: dict[bytes, LkupEntry] = {}
-    pool = [rand_fid(rng) for _ in range(300)]
-    by_entry = grows = 0
-    for _ in range(100_000):
-        fid = rng.choice(pool)
-        h1, h2 = hp(fid)
-        op = rng.random()
-        if op < 0.45:
-            if fid not in model:
-                e = LkupEntry(fid, h1, h2, 0)
-                try:
-                    t.insert(e)
-                    model[fid] = e
-                except NeedsResize as exc:
-                    t = t.grown()
-                    grows += 1
-                    # every entry the grown table holds sits at its recorded slot
-                    assert all(x.pos == i for i, x in enumerate(t.slots) if x is not None)
-                    t.insert(exc.args[0])
-                    model[fid] = e
-        elif op < 0.75:
-            assert t.lookup(fid, h1, h2) is model.get(fid)
-        elif op < 0.875 and fid in model:
-            t.remove_entry(model.pop(fid))
-            by_entry += 1
-        else:
-            assert t.remove(fid, h1, h2) is model.pop(fid, None)
-        assert all(t.slots[e.pos] is e for e in model.values())
-    assert by_entry > 1000 and grows > 0
-    assert t.count == len(model)
-    for fid, e in model.items():
-        assert t.lookup(fid, e.h1, e.h2) is e
-
-
-def test_cuckoo_entry_in_candidate_bucket(rng):
-    hp = make_hash_pair(3)
-    t = CuckooTable(16)
-    entries = []
-    for _ in range(40):
-        fid = rand_fid(rng)
-        h1, h2 = hp(fid)
-        e = LkupEntry(fid, h1, h2, 0)
-        t.insert(e)
-        entries.append(e)
-    for e in entries:
-        b1, b2 = t.bucket_of(e.h1) * 4, t.bucket_of(e.h2) * 4
-        locs = [i for i, s in enumerate(t.slots) if s is e]
-        assert len(locs) == 1
-        assert locs[0] in range(b1, b1 + 4) or locs[0] in range(b2, b2 + 4)
 
 
 # ----------------------------------------------------------------- tracking
@@ -279,7 +188,7 @@ def test_swap_count_unlinkability():
 
 def test_initial_swap_counts_span_range():
     mgr = StateManager(2, 16, env=mgr_env(), seed=13)
-    counts = [LkupEntry(rand_fid(random.Random(i)), 0, 0, mgr._rng.getrandbits(64)).swap_count for i in range(4000)]
+    counts = [LkupEntry(rand_fid(random.Random(i)), mgr._rng.getrandbits(64)).swap_count for i in range(4000)]
     quarters = [0, 0, 0, 0]
     for c in counts:
         quarters[c >> 62] += 1
@@ -460,25 +369,33 @@ def test_reference_equivalence(capacity):
     run_equivalence(capacity, ops=20_000, fids=400, seed=100 + capacity)
 
 
-def test_dual_table_partition(rng):
-    mgr = StateManager(8, 16, env=mgr_env(), seed=24)
+def test_single_index_invariants(rng):
+    mgr = StateManager(8, 16, env=mgr_env(), store_prealloc=4, seed=24)
     fids = [rand_fid(rng) for _ in range(50)]
     r = random.Random(1)
-    for i in range(500):
-        mgr.track(r.choice(fids), i)
-    cache_fids = {e.fid for e in mgr.cache_index.values()}
-    store_fids = {e.fid for e in mgr.store_table.entries()}
-    assert not (cache_fids & store_fids)
-    assert len(cache_fids) == mgr.cached_flows
-    assert len(mgr.cache_index) <= mgr.capacity
-    assert mgr.tracked_flows == len(cache_fids | store_fids)
-    # locator arena membership decides residency
-    for e in mgr.cache_index.values():
-        assert e.slot.entry is e
-        assert not mgr.env.is_untrusted(
-            __import__("enclavetap.boundary", fromlist=["Region"]).Region(e.locator, 1)
-        )
-    for e in mgr.store_table.entries():
-        assert mgr.env.is_untrusted(
-            __import__("enclavetap.boundary", fromlist=["Region"]).Region(e.locator, mgr._entry_size)
-        )
+    trusted = mgr.env.trusted
+    for i in range(2000):
+        fid = r.choice(fids)
+        op = r.random()
+        if op < 0.85:
+            mgr.track(fid, i // 10)
+        elif op < 0.95:
+            mgr.terminate(fid)
+        else:
+            mgr.expire(i // 10)
+        cached = sum(e.slot is not None for e in mgr.flows.values())
+        assert mgr.tracked_flows == len(mgr.flows)
+        assert mgr.cached_flows == cached <= mgr.capacity
+        for fid_key, e in mgr.flows.items():
+            assert e.fid == fid_key
+            # an entry has a slot exactly when its locator is trusted
+            assert (e.slot is not None) == (trusted.base <= e.locator < trusted.end)
+            if e.slot is not None:
+                assert e.slot.entry is e and e.locator == e.slot.base
+            else:
+                # a store entry's locator is the start of an untrusted cell
+                assert e.locator in mgr._cells
+                assert mgr.env.is_untrusted(Region(e.locator, mgr._entry_size))
+                assert mgr.store_region_of(fid_key) == Region(e.locator, mgr._entry_size)
+    assert mgr.stats.store_grows > 0 and mgr.stats.terminations > 0
+    assert 0 < mgr.cached_flows < mgr.tracked_flows

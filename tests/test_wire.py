@@ -10,7 +10,6 @@ from enclavetap.wire import (
     FRAME_PADDING,
     RECORD_LEN,
     SEALED_RECORD_LEN,
-    ChannelKeys,
     Frame,
     PktInfo,
     RecordPacker,
