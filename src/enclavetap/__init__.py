@@ -46,9 +46,6 @@ from .wire import (
     RecordPacker,
     RecordParser,
     RecordSealer,
-    frame_encode,
-    pack_stream,
-    parse_records,
 )
 
 __version__ = "0.1.0"

@@ -17,10 +17,10 @@ response applies from the packet after it, and the clock ends where
 per-packet updates would put it), and the run goes onto the ring with one
 ``push_many``. A full ring still blocks rather than drops. With several
 receive rings each packet picks its ring by address-pair hash. On transmit,
-one pass encodes the popped packets into one buffer for the record packer
-and stops at the packet that completes the batch's last record, so the
-records sent and the packets left on the ring are those of packing packet
-by packet.
+``RecordPacker.pack``, the gateway's encoder too, takes packets from the
+ring's ``pop`` up to the one that completes the batch's last record, so
+the records sent and the packets left on the ring are those of packing
+packet by packet.
 
 The poll driver (``read_pkt`` / ``write_pkt``) is called from middlebox
 threads. Blocking mode spins (yielding the interpreter between probes)
@@ -56,19 +56,14 @@ from .errors import (
 from .packets import ETH_LEN
 from .ring import RING_VARIANTS
 from .wire import (
-    DATA_HDR,
-    DATA_OVERHEAD,
-    FRAME_DATA,
     FRAME_HB_REQ,
     FRAME_HB_RESP,
-    RECORD_LEN,
     SEALED_RECORD_LEN,
     ChannelKeys,
     Frame,
     PktInfo,
     RecordPacker,
     RecordParser,
-    frame_encode,
 )
 
 _ts_of = itemgetter(0)  # PktInfo.ts_us
@@ -174,7 +169,7 @@ class EtapDevice:
         self._opener = keys.device_opener()
         self._sealer = keys.device_sealer()
         self._parser = RecordParser(cfg.max_pkt)
-        self._packer = RecordPacker()
+        self._packer = RecordPacker(cfg.max_pkt)
 
         batch_bytes = cfg.batch_size * SEALED_RECORD_LEN
         self._rx_batch: Region = self.env.alloc(ArenaKind.UNTRUSTED, batch_bytes)
@@ -264,52 +259,24 @@ class EtapDevice:
             self._ctrl.append(Frame(FRAME_HB_REQ, now))
             self.stats.heartbeats_sent += 1
 
-        # One encoding pass: every frame of this call is appended to one
-        # list and handed to the packer as one buffer. Popping stops at the
-        # packet whose bytes complete the batch_size-th record, as it would
-        # if each packet were packed on its own.
+        # Queued control frames go first and force a flush; any the RX
+        # thread appends meanwhile wait for the next pass.
+        ctrl = [self._ctrl.popleft() for _ in range(len(self._ctrl))]
         packer = self._packer
-        parts: list[bytes] = []
-        urgent = False
-        while self._ctrl:
-            parts.append(frame_encode(self._ctrl.popleft()))
-            urgent = True
-        budget = cfg.batch_size
-        acc = packer.pending_bytes + sum(map(len, parts))
-        limit = budget * RECORD_LEN
-        pop = self.tx_ring.pop
-        max_pkt = cfg.max_pkt
-        pack_hdr = DATA_HDR.pack
-        append = parts.append
-        count = 0
-        while acc < limit:
-            pkt = pop()
-            if pkt is None:
-                break
-            ts_us, body = pkt
-            n = len(body)
-            if n > max_pkt:
-                raise OversizePacket(f"{n} > {max_pkt}")
-            append(pack_hdr(FRAME_DATA, n, ts_us))
-            append(body)
-            acc += DATA_OVERHEAD + n
-            count += 1
-        records = packer.add(b"".join(parts)) if parts else []
+        records, count = packer.pack(ctrl, self.tx_ring.pop, cfg.batch_size)
         if count:
             self.stats.pkts_tx += count
             self._last_tx_add_us = now
         if packer.pending_bytes and (
-            urgent or now - self._last_tx_add_us >= cfg.idle_flush_ms * 1000
+            ctrl or now - self._last_tx_add_us >= cfg.idle_flush_ms * 1000
         ):
-            rec = packer.flush()
-            if rec is not None:
-                records.append(rec)
+            records.append(packer.flush())
         if not records:
             return 0
         sent = 0
         view = self._tx_batch_view
-        for start in range(0, len(records), budget):
-            chunk = records[start : start + budget]
+        for start in range(0, len(records), cfg.batch_size):
+            chunk = records[start : start + cfg.batch_size]
             off = 0
             for rec in chunk:
                 sealed = self._sealer.seal(rec)

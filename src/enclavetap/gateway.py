@@ -4,6 +4,9 @@ The gateway is a plain untrusted-side program. It sources packets from
 pcap files or a deterministic synthetic generator, timestamps and
 fragments them, packs them into fixed-size sealed records, and streams
 them to the device peer while concurrently receiving bounced traffic.
+It uses the device's codec from ``wire``: one ``RecordPacker.pack`` pass
+per packet's fragments, and ``RecordParser.feed_pkts``, whose ``PktInfo``s
+go to the sink as they are.
 
 Because the device-side RX loop always pulls whole batches of records,
 the gateway keeps the gateway-to-device stream aligned to the peer's
@@ -18,7 +21,10 @@ from __future__ import annotations
 import struct
 import threading
 import time
+import traceback
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -32,27 +38,21 @@ from .errors import (
 from .etap import mono_us
 from .packets import ip_checksum, make_tcp_frame, make_udp_frame
 from .wire import (
-    FRAME_DATA,
     FRAME_HB_REQ,
     FRAME_HB_RESP,
-    RECORD_LEN,
+    PAD_RECORD,
     SEALED_RECORD_LEN,
     ChannelKeys,
     Frame,
     PktInfo,
     RecordPacker,
     RecordParser,
-    frame_encode,
 )
-
-# plaintext of a record carrying nothing but padding
-PAD_RECORD = b"\x03" + bytes(RECORD_LEN - 1)
 
 # ---------------------------------------------------------------------- pcap
 
 _MAGIC_US = 0xA1B2C3D4
 _MAGIC_NS = 0xA1B23C4D
-_GLOBAL_HDR = struct.Struct("IHHiIII")  # endianness resolved from magic
 _PKT_HDR_LE = struct.Struct("<IIII")
 _PKT_HDR_BE = struct.Struct(">IIII")
 
@@ -278,8 +278,8 @@ class Gateway:
     opening state; they share only the channel, the stats counters, and a
     queue of control frames the receiver asks the sender to emit. When the
     receiver stops, ``recv_stop_reason`` says why; a library error on the
-    receive side (a record failing authentication, a malformed frame) also
-    closes the channel.
+    receive side (a record failing authentication, a malformed frame) or an
+    exception from ``sink`` also closes the channel.
     """
 
     def __init__(
@@ -295,10 +295,9 @@ class Gateway:
         self.sink = sink
         self._sealer = keys.gateway_sealer()
         self._opener = keys.gateway_opener()
-        self._packer = RecordPacker()
+        self._packer = RecordPacker(self.config.mtu)
         self._parser = RecordParser(self.config.mtu)
-        self._ctrl: list[Frame] = []
-        self._ctrl_lock = threading.Lock()
+        self._ctrl: deque[Frame] = deque()  # heartbeat answers awaiting transmit
         self._stop = False
         self._source_done = threading.Event()
         self._recv_cond = threading.Condition()
@@ -324,15 +323,15 @@ class Gateway:
         except Unfragmentable:
             self.stats.dropped_unfragmentable += 1
             return
-        if len(frags) > 1:
+        # pack pops the fragments, each with the packet's timestamp, until None
+        if len(frags) == 1:
+            pkts = ((ts_us, packet), None)
+        else:
             self.stats.fragments_created += len(frags)
-        records: list[bytes] = []
-        for frag in frags:
-            records.extend(
-                self._packer.add(frame_encode(Frame(FRAME_DATA, ts_us, frag), self.config.mtu))
-            )
-            self.stats.pkts_sent += 1
-            self.stats.bytes_sent += len(frag)
+            pkts = (*zip(repeat(ts_us), frags), None)
+        records, _ = self._packer.pack((), iter(pkts).__next__)
+        self.stats.pkts_sent += len(frags)
+        self.stats.bytes_sent += sum(map(len, frags))
         self._send_records(records)
 
     def _flush_and_pad(self) -> None:
@@ -347,14 +346,11 @@ class Gateway:
         self._send_records(records)
 
     def _service_ctrl(self) -> bool:
-        with self._ctrl_lock:
-            frames, self._ctrl = self._ctrl, []
+        # the receiver may append more meanwhile; those wait for the next call
+        frames = [self._ctrl.popleft() for _ in range(len(self._ctrl))]
         if not frames:
             return False
-        records: list[bytes] = []
-        for f in frames:
-            records.extend(self._packer.add(frame_encode(f)))
-        self._send_records(records)
+        self._send_records(self._packer.pack(frames)[0])
         self._flush_and_pad()
         return True
 
@@ -376,7 +372,8 @@ class Gateway:
 
     # ----------------------------------------------------------- receiver side
 
-    def _recv_one(self) -> None:
+    def _recv_one(self) -> list[PktInfo]:
+        """Open and parse one record, answer its heartbeats, return its packets."""
         sealed = self.channel.recv_exact(SEALED_RECORD_LEN)
         try:
             plaintext = self._opener.open(sealed)
@@ -384,25 +381,38 @@ class Gateway:
             self.stats.auth_failures += 1
             raise
         self.stats.records_received += 1
-        for frame in self._parser.feed(plaintext):
-            if frame.ftype == FRAME_DATA:
-                self.stats.pkts_received += 1
-                self.stats.bytes_received += len(frame.data)
-                if self.sink is not None:
-                    self.sink(PktInfo(frame.ts_us, frame.data))
-            elif frame.ftype == FRAME_HB_REQ:
-                with self._ctrl_lock:
-                    self._ctrl.append(Frame(FRAME_HB_RESP, frame.ts_us))
+        items, ctrl = self._parser.feed_pkts(plaintext)
+        if not ctrl:
+            return items
+        for at in ctrl:
+            frame = items[at]
+            if frame.ftype == FRAME_HB_REQ:
+                self._ctrl.append(Frame(FRAME_HB_RESP, frame.ts_us))
                 self.stats.heartbeats_answered += 1
             # HB_RESP: the gateway never originates requests; nothing to do
-        with self._recv_cond:
-            self._recv_cond.notify_all()
+        return [x for x in items if type(x) is PktInfo]
 
     def _receiver_main(self) -> None:
         reason = "stopped"
+        sink = self.sink
+        stats = self.stats
         try:
             while not self._stop:
-                self._recv_one()
+                pkts = self._recv_one()
+                if sink is not None:
+                    try:
+                        for pkt in pkts:
+                            sink(pkt)
+                    except Exception as exc:
+                        traceback.print_exc()
+                        reason = f"sink failed: {exc!r}"
+                        self.channel.close()
+                        break
+                # counted once the sink has them, so a woken waiter sees them there
+                with self._recv_cond:
+                    stats.pkts_received += len(pkts)
+                    stats.bytes_received += sum(len(p.data) for p in pkts)
+                    self._recv_cond.notify_all()
         except ChannelClosed:
             if not self._stop:
                 reason = "channel closed"

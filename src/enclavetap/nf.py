@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import struct
 import threading
+import traceback
 from typing import Callable, NamedTuple
 
 from .errors import AuthFailure, DeviceShutdown
@@ -309,7 +310,8 @@ class NfRunner:
 
     With ``bounce`` set, processed packets are written back to the transmit
     ring; the single-producer contract on that ring restricts bouncing to
-    single-ring devices.
+    single-ring devices. Any other exception from an NF shuts the device
+    down with a reason naming the NF.
     """
 
     def __init__(self, device, nf_factory: Callable[[int], object], bounce: bool = False):
@@ -341,6 +343,9 @@ class NfRunner:
                     device.write_pkt(out, blocking=True)
         except DeviceShutdown:
             self.processed[ring_index] = count
+        except Exception as exc:
+            traceback.print_exc()
+            device.shutdown(f"nf {ring_index} failed: {exc!r}")
 
     @property
     def processed_total(self) -> int:

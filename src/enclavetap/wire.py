@@ -17,12 +17,18 @@ tag` units, no per-record header. Frames inside the plaintext:
 
 A Padding frame is always the last frame of its record. Data frames may
 straddle record boundaries; the parser carries partial bytes across.
+
+The frame layout lives only here. Both peers encode in one pass with
+``RecordPacker.pack`` and parse with ``RecordParser.feed_pkts``, which
+yields a Data frame as the ``PktInfo`` it carries and a control frame as a
+``Frame``.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterable, NamedTuple
+import sys
+from typing import Callable, Iterable, NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -51,10 +57,6 @@ class PktInfo(NamedTuple):
     ts_us: int
     data: bytes
 
-    @property
-    def size(self) -> int:
-        return len(self.data)
-
 
 class Frame(NamedTuple):
     ftype: int
@@ -62,23 +64,15 @@ class Frame(NamedTuple):
     data: bytes = b""
 
 
-def frame_encode(frame: Frame, max_pkt: int = DEFAULT_MAX_PKT) -> bytes:
-    if frame.ftype == FRAME_DATA:
-        if len(frame.data) > max_pkt:
-            raise OversizePacket(f"{len(frame.data)} > {max_pkt}")
-        return DATA_HDR.pack(FRAME_DATA, len(frame.data), frame.ts_us) + frame.data
-    if frame.ftype in (FRAME_HB_REQ, FRAME_HB_RESP):
-        return HB_HDR.pack(frame.ftype, frame.ts_us)
-    if frame.ftype == FRAME_PADDING:
-        return b"\x03"
-    raise ValueError(f"unknown frame type {frame.ftype}")
-
-
 def encode_pkt(pkt: PktInfo, max_pkt: int = DEFAULT_MAX_PKT) -> bytes:
-    """Fast path for Data frames, bypassing Frame construction."""
+    """One packet as a Data frame."""
     if len(pkt.data) > max_pkt:
         raise OversizePacket(f"{len(pkt.data)} > {max_pkt}")
     return DATA_HDR.pack(FRAME_DATA, len(pkt.data), pkt.ts_us) + pkt.data
+
+
+# plaintext of a record carrying nothing but padding
+PAD_RECORD = bytes([FRAME_PADDING]) + bytes(RECORD_LEN - 1)
 
 
 class RecordPacker:
@@ -89,18 +83,58 @@ class RecordPacker:
     Padding frame so the fixed-length invariant holds even at low rate.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, max_pkt: int = DEFAULT_MAX_PKT) -> None:
+        self.max_pkt = max_pkt
         self._buf = bytearray()
 
     @property
     def pending_bytes(self) -> int:
         return len(self._buf)
 
+    def pack(
+        self,
+        ctrl: Iterable[Frame],
+        pop: Callable[[], tuple[int, bytes] | None] | None = None,
+        max_records: int | None = None,
+    ) -> tuple[list[bytes], int]:
+        """Encode control frames, then packets from ``pop``, in one pass.
+
+        ``ctrl`` holds heartbeat frames, encoded first. Packets are then
+        taken from ``pop`` until it returns None or, with ``max_records``,
+        up to the packet whose bytes (counted with those already pending)
+        complete the ``max_records``-th record, as packing packet by packet
+        would. Returns the completed records and the number of packets
+        taken.
+        """
+        buf = self._buf
+        for f in ctrl:
+            buf += HB_HDR.pack(f.ftype, f.ts_us)
+        count = 0
+        if pop is not None:
+            limit = sys.maxsize if max_records is None else max_records * RECORD_LEN
+            max_pkt = self.max_pkt
+            pack_hdr = DATA_HDR.pack
+            while len(buf) < limit:
+                pkt = pop()
+                if pkt is None:
+                    break
+                ts_us, body = pkt
+                n = len(body)
+                if n > max_pkt:
+                    raise OversizePacket(f"{n} > {max_pkt}")
+                buf += pack_hdr(FRAME_DATA, n, ts_us)
+                buf += body
+                count += 1
+        return (self._cut() if len(buf) >= RECORD_LEN else []), count
+
     def add(self, encoded: bytes) -> list[bytes]:
         buf = self._buf
         buf += encoded
-        if len(buf) < RECORD_LEN:
-            return []
+        return self._cut() if len(buf) >= RECORD_LEN else []
+
+    def _cut(self) -> list[bytes]:
+        """Take every complete record off the front of the buffer."""
+        buf = self._buf
         out = []
         pos = 0
         while len(buf) - pos >= RECORD_LEN:
@@ -113,23 +147,11 @@ class RecordPacker:
         """Pad and emit the partial record, if any."""
         if not self._buf:
             return None
-        self._buf += b"\x03"
+        self._buf.append(FRAME_PADDING)
         self._buf += bytes(RECORD_LEN - len(self._buf))
         rec = bytes(self._buf)
         self._buf.clear()
         return rec
-
-
-def pack_stream(frames: Iterable[Frame], flush: bool, max_pkt: int = DEFAULT_MAX_PKT) -> list[bytes]:
-    packer = RecordPacker()
-    out: list[bytes] = []
-    for f in frames:
-        out.extend(packer.add(frame_encode(f, max_pkt)))
-    if flush:
-        rec = packer.flush()
-        if rec is not None:
-            out.append(rec)
-    return out
 
 
 class RecordParser:
@@ -140,9 +162,8 @@ class RecordParser:
     silently. Raises ``MalformedFrame`` on unknown type bytes or Data
     lengths over the packet buffer size — corruption upstream of AEAD.
 
-    ``feed`` returns ``Frame``s; ``feed_pkts`` is the device's entry point
-    and builds each Data frame directly as the ``PktInfo`` that goes on a
-    receive ring. Both run the same parse loop.
+    A Data frame comes out as the ``PktInfo`` it was sent as, a control
+    frame as a ``Frame``.
     """
 
     def __init__(self, max_pkt: int = DEFAULT_MAX_PKT):
@@ -153,8 +174,9 @@ class RecordParser:
     def pending_bytes(self) -> int:
         return len(self._pending)
 
-    def feed(self, record: bytes) -> list[Frame]:
-        return self._parse(record, Frame, (FRAME_DATA,))[0]
+    def feed(self, record: bytes) -> list:
+        """The items of ``feed_pkts``, without the control-frame indices."""
+        return self.feed_pkts(record)[0]
 
     def feed_pkts(self, record: bytes) -> tuple[list, list[int]]:
         """Parse one record into ``PktInfo``s for Data frames and ``Frame``s
@@ -164,11 +186,7 @@ class RecordParser:
         frames in ``items`` (empty in the common case), so a caller can take
         the runs of packets between them as list slices.
         """
-        return self._parse(record, PktInfo, ())
-
-    def _parse(self, record: bytes, data_cls: type, head: tuple) -> tuple[list, list[int]]:
-        # A Data frame becomes data_cls(*head, ts, body), built with
-        # tuple.__new__ to skip the namedtuple constructor.
+        # PktInfos are built with tuple.__new__, skipping the constructor
         data = bytes(record)  # no copy for bytes; every slice below is bytes
         if self._pending:
             data = self._pending + data
@@ -195,7 +213,7 @@ class RecordParser:
                 if body_end > end:
                     self._pending = data[pos:]
                     break
-                append(new(data_cls, head + (ts, data[body:body_end])))
+                append(new(PktInfo, (ts, data[body:body_end])))
                 pos = body_end
             elif ftype in (FRAME_HB_REQ, FRAME_HB_RESP):
                 if pos + HB_HDR.size > end:
@@ -211,14 +229,6 @@ class RecordParser:
             else:
                 raise MalformedFrame(f"unknown frame type {ftype}")
         return items, ctrl
-
-
-def parse_records(records: Iterable[bytes], max_pkt: int = DEFAULT_MAX_PKT) -> list[Frame]:
-    parser = RecordParser(max_pkt)
-    frames: list[Frame] = []
-    for rec in records:
-        frames.extend(parser.feed(rec))
-    return frames
 
 
 class RecordSealer:
@@ -297,12 +307,6 @@ class ChannelKeys(NamedTuple):
             e2g_key=kdf(b"e2g-key", 16),
             e2g_salt=kdf(b"e2g-salt", 4),
         )
-
-    @classmethod
-    def generate(cls) -> "ChannelKeys":
-        import os
-
-        return cls(os.urandom(16), os.urandom(4), os.urandom(16), os.urandom(4))
 
     def gateway_sealer(self) -> RecordSealer:
         return RecordSealer(self.g2e_key, self.g2e_salt)

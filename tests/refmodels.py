@@ -7,6 +7,7 @@ path is never checked against itself.
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict
 
 from enclavetap.packets import PROTO_TCP, TCP_FIN, TCP_RST, canonical_fid
@@ -72,6 +73,32 @@ class RefStateModel:
     @property
     def cached_flows(self) -> int:
         return len(self.lru)
+
+
+def ref_encode(item) -> bytes:
+    """The wire bytes of one frame, restated from the format description.
+
+    A 2-tuple ``(ts_us, data)`` (a ``PktInfo``) is a Data frame; a 3-tuple
+    ``(ftype, ts_us, data)`` (a ``Frame``) is a heartbeat frame.
+    """
+    if len(item) == 2:
+        ts_us, data = item
+        return struct.pack("!BHQ", 0, len(data), ts_us) + data
+    ftype, ts_us, _ = item
+    assert ftype in (1, 2)
+    return struct.pack("!BQ", ftype, ts_us)
+
+
+def ref_records(items) -> list[bytes]:
+    """Frames back to back, cut into records, the last one padded (0x03,
+    then zeros)."""
+    stream = b"".join(ref_encode(x) for x in items)
+    full = len(stream) - len(stream) % RECORD_LEN
+    records = [stream[i : i + RECORD_LEN] for i in range(0, full, RECORD_LEN)]
+    tail = stream[full:]
+    if tail:
+        records.append(tail + b"\x03" + bytes(RECORD_LEN - len(tail) - 1))
+    return records
 
 
 def pack_record_count(frame_lens: list[int], flush: bool) -> int:

@@ -8,6 +8,7 @@ pinned here so runs are reproducible.
 import random
 import statistics
 import time
+from functools import partial
 
 import pytest
 
@@ -30,19 +31,17 @@ from enclavetap.packets import parse_packet
 from enclavetap.ring import PktRing
 from enclavetap.statemgmt import StateManager, footprint_bytes, seal_state
 from enclavetap.wire import (
-    FRAME_DATA,
     FRAME_HB_REQ,
     FRAME_HB_RESP,
     SEALED_RECORD_LEN,
     ChannelKeys,
     Frame,
+    PktInfo,
     RecordPacker,
     RecordParser,
-    frame_encode,
-    pack_stream,
 )
 
-from refmodels import RefStateModel, flowmeter_oracle, ids_oracle
+from refmodels import RefStateModel, flowmeter_oracle, ids_oracle, ref_records
 
 
 def report(n: int, text: str) -> None:
@@ -62,7 +61,7 @@ def _env(trusted_mb=64, untrusted_mb=512):
 #    pack -> seal -> open -> parse byte-exactly, incl. cross-record splits.
 # --------------------------------------------------------------------------
 
-def test_criterion_01_codec_round_trip():
+def test_criterion_01_codec_round_trip(pack_items):
     rng = random.Random(11)
     keys = ChannelKeys.from_secret(b"acceptance-1")
     sealer = keys.gateway_sealer()
@@ -82,12 +81,15 @@ def test_criterion_01_codec_round_trip():
         for _ in range(n):
             kind = rng.random()
             if kind < 0.85:
-                frames.append(
-                    Frame(FRAME_DATA, rng.getrandbits(60), rng.randbytes(rng.randint(lo, hi)))
-                )
+                frames.append(PktInfo(rng.getrandbits(60), rng.randbytes(rng.randint(lo, hi))))
             else:
                 frames.append(Frame(rng.choice((FRAME_HB_REQ, FRAME_HB_RESP)), rng.getrandbits(60)))
-        records = pack_stream(frames, flush=True)
+        packer = RecordPacker()
+        records = pack_items(packer, frames)
+        rec = packer.flush()
+        if rec is not None:
+            records.append(rec)
+        assert records == ref_records(frames)
         if len(records) > 1:
             split_sequences += 1
         parser = RecordParser()
@@ -143,14 +145,11 @@ def _stream_records(rng, keys, n=3):
     records = []
     packer = RecordPacker()
     for _ in range(n):
-        frames = [Frame(FRAME_DATA, rng.getrandbits(40), rng.randbytes(rng.randint(1, 200)))
+        frames = [PktInfo(rng.getrandbits(40), rng.randbytes(rng.randint(1, 200)))
                   for _ in range(rng.randint(1, 5))]
-        recs = []
-        for f in frames:
-            recs.extend(packer.add(frame_encode(f)))
-        rec = packer.flush()
-        if rec is not None:
-            recs.append(rec)
+        recs, taken = packer.pack((), partial(next, iter(frames), None))
+        assert taken == len(frames)
+        recs.append(packer.flush())
         assert len(recs) == 1
         frames_per_record.append(frames)
         records.append(sealer.seal(recs[0]))

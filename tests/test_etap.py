@@ -9,19 +9,20 @@ from enclavetap.boundary import BoundaryConfig, MemoryEnv
 from enclavetap.channel import loopback_pair
 from enclavetap.errors import AuthFailure, DeviceShutdown, MemoryViolation, OversizePacket
 from enclavetap.etap import EtapConfig, EtapDevice, TrustedClock, mono_us, rss_select
-from enclavetap.gateway import PAD_RECORD, fragment
+from enclavetap.gateway import fragment
 from enclavetap.packets import FlowId, make_tcp_frame, make_udp_frame, parse_packet
 from enclavetap.wire import (
-    FRAME_DATA,
     FRAME_HB_REQ,
     FRAME_HB_RESP,
+    PAD_RECORD,
     Frame,
     PktInfo,
     RecordPacker,
     RecordParser,
     encode_pkt,
-    frame_encode,
 )
+
+from refmodels import ref_encode, ref_records
 
 
 def small_env():
@@ -36,14 +37,9 @@ def make_device(keys, **cfg_kwargs):
 
 
 def send_batch(ch_gw, sealer, frames, batch_size):
-    """Seal frames into records and pad the stream to the batch boundary."""
-    packer = RecordPacker()
-    records = []
-    for f in frames:
-        records.extend(packer.add(frame_encode(f)))
-    rec = packer.flush()
-    if rec is not None:
-        records.append(rec)
+    """Seal packets and control frames into records and pad the stream to
+    the batch boundary."""
+    records = ref_records(frames)
     while len(records) % batch_size:
         records.append(PAD_RECORD)
     ch_gw.send(b"".join(sealer.seal(r) for r in records))
@@ -124,7 +120,7 @@ def test_rx_delivers_batch_and_advances_clock(keys):
     ch_gw, dev = make_device(keys, batch_size=4, ring_size=256)
     dev.clock.t_rtd_us = 2000
     sealer = keys.gateway_sealer()
-    frames = [Frame(FRAME_DATA, 1_000_000 + i, bytes([i]) * 60) for i in range(100)]
+    frames = [PktInfo(1_000_000 + i, bytes([i]) * 60) for i in range(100)]
     nrec = send_batch(ch_gw, sealer, frames, 4)
     delivered = dev.rx_loop_iteration()
     assert delivered == 100
@@ -148,11 +144,7 @@ def test_rx_padding_only_batch(keys):
 def test_rx_tampered_record_shuts_down(keys):
     ch_gw, dev = make_device(keys, batch_size=2)
     sealer = keys.gateway_sealer()
-    packer = RecordPacker()
-    records = []
-    for i in range(30):
-        records.extend(packer.add(frame_encode(Frame(FRAME_DATA, i, bytes(64)))))
-    records.append(packer.flush())
+    records = ref_records([PktInfo(i, bytes(64)) for i in range(30)])
     while len(records) % 2:
         records.append(PAD_RECORD)
     sealed = [bytearray(sealer.seal(r)) for r in records]
@@ -170,7 +162,7 @@ def test_rx_tampered_record_shuts_down(keys):
 def test_rx_memory_violation_shuts_down(keys, monkeypatch):
     ch_gw, dev = make_device(keys, batch_size=1)
     sealer = keys.gateway_sealer()
-    send_batch(ch_gw, sealer, [Frame(FRAME_DATA, 0, bytes(10))], 1)
+    send_batch(ch_gw, sealer, [PktInfo(0, bytes(10))], 1)
 
     def bad_check(region):
         raise MemoryViolation("crafted buffer")
@@ -214,7 +206,7 @@ def test_rx_rss_partition_and_per_flow_order(keys):
         fid = FlowId(src, dst, 1000 + i, 80, 6)
         flows.append(fid)
         for k in range(5):
-            frames.append(Frame(FRAME_DATA, i, make_tcp_frame(src, dst, 1000 + i, 80, bytes([k]))))
+            frames.append(PktInfo(i, make_tcp_frame(src, dst, 1000 + i, 80, bytes([k]))))
     send_batch(ch_gw, sealer, frames, 2)
     dev.rx_loop_iteration()
     per_ring: dict[int, list[bytes]] = {0: [], 1: []}
@@ -244,7 +236,7 @@ def test_rx_rss_fragments_share_their_flows_ring(keys, num_rings):
     frags = fragment(make_tcp_frame(a, b, 1234, 80, bytes(range(256)) * 12), 1500)
     assert len(frags) == 3
     sent = frags + [make_tcp_frame(a, b, 1234, 80, b"later")]
-    records = send_batch(ch_gw, sealer, [Frame(FRAME_DATA, k, d) for k, d in enumerate(sent)], 1)
+    records = send_batch(ch_gw, sealer, [PktInfo(k, d) for k, d in enumerate(sent)], 1)
     for _ in range(records):
         dev.rx_loop_iteration()
     per_ring = []
@@ -263,11 +255,11 @@ def test_rx_heartbeats_mid_record_clock_matches_per_packet(keys):
     sealer = keys.gateway_sealer()
     a, b0, b = 1_000_000, 960_000, 990_000
     frames = [
-        Frame(FRAME_DATA, a, b"a"),
+        PktInfo(a, b"a"),
         Frame(FRAME_HB_REQ, 7),
-        Frame(FRAME_DATA, b0, b"b0"),
+        PktInfo(b0, b"b0"),
         Frame(FRAME_HB_RESP, mono_us() - 100_000),
-        Frame(FRAME_DATA, b, b"b"),
+        PktInfo(b, b"b"),
     ]
     send_batch(ch_gw, sealer, frames, 1)
     assert dev.rx_loop_iteration() == 3
@@ -290,7 +282,7 @@ def test_rx_heartbeats_mid_record_clock_matches_per_packet(keys):
 def test_rx_batch_larger_than_ring_drained_by_reader(keys):
     ch_gw, dev = make_device(keys, batch_size=4, ring_size=64)
     sealer = keys.gateway_sealer()
-    frames = [Frame(FRAME_DATA, 5000 + i, i.to_bytes(2, "big") * 50) for i in range(500)]
+    frames = [PktInfo(5000 + i, i.to_bytes(2, "big") * 50) for i in range(500)]
     send_batch(ch_gw, sealer, frames, 4)
     got = []
 
@@ -303,7 +295,7 @@ def test_rx_batch_larger_than_ring_drained_by_reader(keys):
     assert dev.rx_loop_iteration() == 500
     t.join(30)
     assert not t.is_alive()
-    assert got == [PktInfo(f.ts_us, f.data) for f in frames]
+    assert got == frames
     assert dev.read_pkt(blocking=False) is None
 
 
@@ -311,7 +303,7 @@ def test_rx_batch_larger_than_ring_drained_by_reader(keys):
 def test_rx_blocked_on_full_ring_raises_on_shutdown(keys, num_rings):
     ch_gw, dev = make_device(keys, batch_size=1, ring_size=8, num_rx_rings=num_rings)
     sealer = keys.gateway_sealer()
-    send_batch(ch_gw, sealer, [Frame(FRAME_DATA, i, bytes(64)) for i in range(50)], 1)
+    send_batch(ch_gw, sealer, [PktInfo(i, bytes(64)) for i in range(50)], 1)
     errs = []
 
     def rx():
@@ -379,7 +371,7 @@ def _per_packet_tx_pass(queue, packer, ctrl, batch_size, flush):
     """Reference TX pass: each packet encoded and packed on its own."""
     records = []
     for f in ctrl:
-        records += packer.add(frame_encode(f))
+        records += packer.add(ref_encode(f))
     while len(records) < batch_size and queue:
         records += packer.add(encode_pkt(queue.popleft()))
     if packer.pending_bytes and (flush or ctrl):
@@ -450,7 +442,7 @@ def test_write_pkt_oversize_rejected_device_keeps_sending(keys):
         assert dev.stats.records_tx == 1
         assert not dev.is_shutdown
         rec = keys.gateway_opener().open(ch_gw.recv_exact(16400))
-        assert RecordParser().feed(rec) == [Frame(FRAME_DATA, 2, bytes(100))]
+        assert RecordParser().feed(rec) == [PktInfo(2, bytes(100))]
     finally:
         dev.stop()
 
@@ -492,7 +484,7 @@ def test_read_pkt_nonblocking_empty(keys):
 def test_read_pkt_blocking_fifo(keys):
     ch_gw, dev = make_device(keys, batch_size=1)
     sealer = keys.gateway_sealer()
-    send_batch(ch_gw, sealer, [Frame(FRAME_DATA, 1, b"a"), Frame(FRAME_DATA, 2, b"b")], 1)
+    send_batch(ch_gw, sealer, [PktInfo(1, b"a"), PktInfo(2, b"b")], 1)
     dev.rx_loop_iteration()
     assert dev.read_pkt(blocking=True).data == b"a"
     assert dev.read_pkt(blocking=True).data == b"b"
@@ -508,7 +500,7 @@ def test_write_pkt_nonblocking_full(keys):
 def test_read_pkt_returns_stable_copies(keys):
     ch_gw, dev = make_device(keys, batch_size=1)
     sealer = keys.gateway_sealer()
-    send_batch(ch_gw, sealer, [Frame(FRAME_DATA, 1, b"first"), Frame(FRAME_DATA, 2, b"second")], 1)
+    send_batch(ch_gw, sealer, [PktInfo(1, b"first"), PktInfo(2, b"second")], 1)
     dev.rx_loop_iteration()
     a = dev.read_pkt()
     b = dev.read_pkt()

@@ -19,9 +19,9 @@ from enclavetap.nf import (
 )
 from enclavetap.packets import TCP_ACK, TCP_FIN, make_tcp_frame, make_udp_frame, parse_packet
 from enclavetap.statemgmt import StateManager
-from enclavetap.wire import FRAME_DATA, Frame, PktInfo, RecordPacker, frame_encode
+from enclavetap.wire import PktInfo
 
-from refmodels import AhoCorasick, brute_find_all, flowmeter_oracle, ids_oracle
+from refmodels import AhoCorasick, brute_find_all, flowmeter_oracle, ids_oracle, ref_records
 
 A = bytes([10, 0, 0, 1])
 B = bytes([10, 0, 0, 2])
@@ -315,13 +315,7 @@ def mk_loaded_device(keys, frames):
         EtapConfig(batch_size=1, heartbeat_period_ms=0, ring_size=1024),
     )
     sealer = keys.gateway_sealer()
-    packer = RecordPacker()
-    records = []
-    for f in frames:
-        records.extend(packer.add(frame_encode(f)))
-    rec = packer.flush()
-    if rec is not None:
-        records.append(rec)
+    records = ref_records(frames)
     ch_gw.send(b"".join(sealer.seal(r) for r in records))
     for _ in range(len(records)):
         dev.rx_loop_iteration()
@@ -329,7 +323,7 @@ def mk_loaded_device(keys, frames):
 
 
 def test_pcap_compat_next_matches_read_pkt(keys):
-    frames = [Frame(FRAME_DATA, 3_000_123, b"hello")]
+    frames = [PktInfo(3_000_123, b"hello")]
     dev = mk_loaded_device(keys, frames)
     hdr, data = pcap_compat_next(dev)
     assert data == b"hello"
@@ -338,7 +332,7 @@ def test_pcap_compat_next_matches_read_pkt(keys):
 
 
 def test_pcap_compat_loop_exact_count(keys):
-    frames = [Frame(FRAME_DATA, i, bytes([i])) for i in range(20)]
+    frames = [PktInfo(i, bytes([i])) for i in range(20)]
     dev = mk_loaded_device(keys, frames)
     seen = []
     n = pcap_compat_loop(dev, lambda hdr, data: seen.append(data), 10)
@@ -347,7 +341,7 @@ def test_pcap_compat_loop_exact_count(keys):
 
 
 def test_pcap_compat_loop_fifo_order_sequence_stamped(keys):
-    frames = [Frame(FRAME_DATA, i, i.to_bytes(4, "big")) for i in range(50)]
+    frames = [PktInfo(i, i.to_bytes(4, "big")) for i in range(50)]
     dev = mk_loaded_device(keys, frames)
     seen = []
     pcap_compat_loop(dev, lambda hdr, data: seen.append(int.from_bytes(data, "big")), 50)
@@ -355,7 +349,7 @@ def test_pcap_compat_loop_fifo_order_sequence_stamped(keys):
 
 
 def test_pcap_compat_loop_stops_on_shutdown(keys):
-    frames = [Frame(FRAME_DATA, i, b"x") for i in range(5)]
+    frames = [PktInfo(i, b"x") for i in range(5)]
     dev = mk_loaded_device(keys, frames)
     dev.shutdown("test")
     # ring still drains, then the loop stops early

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -8,42 +9,59 @@ from enclavetap.wire import (
     FRAME_HB_REQ,
     FRAME_HB_RESP,
     FRAME_PADDING,
+    PAD_RECORD,
     RECORD_LEN,
     SEALED_RECORD_LEN,
     Frame,
     PktInfo,
     RecordPacker,
     RecordParser,
-    frame_encode,
-    pack_stream,
-    parse_records,
+    encode_pkt,
 )
 
-from refmodels import pack_record_count
+from refmodels import pack_record_count, ref_encode, ref_records
 
 
-def rand_frame(rng: random.Random, max_pkt: int = 1500) -> Frame:
+def rand_item(rng: random.Random, max_pkt: int = 1500):
+    """A Data frame as the PktInfo it carries, or a heartbeat Frame."""
     t = rng.choice((FRAME_DATA, FRAME_DATA, FRAME_DATA, FRAME_HB_REQ, FRAME_HB_RESP))
     if t == FRAME_DATA:
-        return Frame(FRAME_DATA, rng.getrandbits(60), rng.randbytes(rng.randint(0, max_pkt)))
+        return PktInfo(rng.getrandbits(60), rng.randbytes(rng.randint(0, max_pkt)))
     return Frame(t, rng.getrandbits(60))
+
+
+def popper(pkts):
+    """A ring-style pop over ``pkts``: the next one, then None."""
+    return partial(next, iter(pkts), None)
+
+
+def pack_flushed(pack_items, items) -> list[bytes]:
+    packer = RecordPacker()
+    records = pack_items(packer, items)
+    rec = packer.flush()
+    return records + [rec] if rec is not None else records
+
+
+def parse_all(records) -> list:
+    parser = RecordParser()
+    return [x for r in records for x in parser.feed(r)]
 
 
 # ------------------------------------------------------------------- frames
 
 def test_data_frame_zero_case():
-    enc = frame_encode(Frame(FRAME_DATA, 0, b""))
+    enc = encode_pkt(PktInfo(0, b""))
     assert enc == bytes(11)
     assert len(enc) == 11
 
 
 def test_data_frame_full_mtu_overhead():
-    enc = frame_encode(Frame(FRAME_DATA, 7, bytes(1500)))
+    enc = encode_pkt(PktInfo(7, bytes(1500)))
     assert len(enc) == 1511
 
 
 def test_data_frame_field_order():
-    enc = frame_encode(Frame(FRAME_DATA, 0x1122334455667788, b"\xAB\xCD"))
+    enc = encode_pkt(PktInfo(0x1122334455667788, b"\xAB\xCD"))
     assert enc[0] == FRAME_DATA
     assert enc[1:3] == (2).to_bytes(2, "big")  # size first
     assert enc[3:11] == bytes.fromhex("1122334455667788")  # then timestamp
@@ -52,25 +70,46 @@ def test_data_frame_field_order():
 
 def test_oversize_packet_rejected():
     with pytest.raises(OversizePacket):
-        frame_encode(Frame(FRAME_DATA, 0, bytes(1501)))
+        encode_pkt(PktInfo(0, bytes(1501)))
+    with pytest.raises(OversizePacket):
+        RecordPacker().pack((), popper([PktInfo(0, bytes(1501))]))
+    # the packer's own limit replaces the default
+    with pytest.raises(OversizePacket):
+        RecordPacker(100).pack((), popper([PktInfo(0, bytes(101))]))
 
 
 def test_heartbeat_frames_encode_9_bytes():
     for t in (FRAME_HB_REQ, FRAME_HB_RESP):
-        assert len(frame_encode(Frame(t, 42))) == 9
+        packer = RecordPacker()
+        assert packer.pack([Frame(t, 42)]) == ([], 0)
+        assert packer.pending_bytes == 9
+        assert packer.flush()[:10] == bytes([t]) + (42).to_bytes(8, "big") + bytes([FRAME_PADDING])
 
 
-def test_frame_round_trip_random(rng):
-    frames = [rand_frame(rng) for _ in range(2000)]
-    records = pack_stream(frames, flush=True)
-    assert parse_records(records) == frames
+def test_frame_round_trip_random(rng, pack_items):
+    items = [rand_item(rng) for _ in range(2000)]
+    records = pack_flushed(pack_items, items)
+    assert parse_all(records) == items
+
+
+def test_pack_matches_reference_encoder(rng, pack_items):
+    """The one encoding pass gives the bytes of the format description,
+    control frames and packets interleaved, records cut mid-frame."""
+    for _ in range(30):
+        items = [rand_item(rng) for _ in range(rng.randint(0, 80))]
+        assert pack_flushed(pack_items, items) == ref_records(items)
 
 
 # ------------------------------------------------------------------ packing
 
-def test_pack_two_frames_one_padded_record():
-    frames = [Frame(FRAME_DATA, 0, bytes(1000)), Frame(FRAME_DATA, 0, bytes(600))]
-    records = pack_stream(frames, flush=True)
+def test_pad_record_is_one_padding_frame():
+    assert PAD_RECORD == bytes([FRAME_PADDING]) + bytes(RECORD_LEN - 1)
+    assert RecordParser().feed(PAD_RECORD) == []
+
+
+def test_pack_two_frames_one_padded_record(pack_items):
+    items = [PktInfo(0, bytes(1000)), PktInfo(0, bytes(600))]
+    records = pack_flushed(pack_items, items)
     assert len(records) == 1
     rec = records[0]
     assert len(rec) == RECORD_LEN
@@ -79,48 +118,62 @@ def test_pack_two_frames_one_padded_record():
     assert len(rec) - 1622 - 1 == 14761
 
 
-def test_pack_33_full_frames_four_records():
-    frames = [Frame(FRAME_DATA, 0, bytes(1500))] * 33
+def test_pack_33_full_frames_four_records(pack_items):
+    items = [PktInfo(0, bytes(1500))] * 33
     assert pack_record_count([1511] * 33, flush=True) == 4
-    records = pack_stream(frames, flush=True)
+    records = pack_flushed(pack_items, items)
     assert len(records) == 4
     assert all(len(r) == RECORD_LEN for r in records)
     # last record is padded; the first three are full of frame bytes
-    assert parse_records(records) == frames
+    assert parse_all(records) == items
 
 
 def test_pack_empty_input_no_records():
-    assert pack_stream([], flush=True) == []
+    packer = RecordPacker()
+    assert packer.pack(()) == ([], 0)
+    assert packer.pack((), popper([])) == ([], 0)
+    assert packer.flush() is None
 
 
 def test_pack_exact_record_boundary_no_padding_record():
-    # 12 frames of 1354-byte payload encode to 12 * 1365 = 16380; add one
-    # 1354+11? craft exact 16384: 16384 = 16 * 1024 -> frame of 1013 payload = 1024 enc
-    frames = [Frame(FRAME_DATA, 0, bytes(1013))] * 16
+    # 16384 = 16 * 1024: a 1013-byte payload encodes to 1024 bytes
     packer = RecordPacker()
-    out = []
-    for f in frames:
-        out.extend(packer.add(frame_encode(f)))
-    assert len(out) == 1
+    out, taken = packer.pack((), popper([PktInfo(0, bytes(1013))] * 16))
+    assert (len(out), taken) == (1, 16)
     assert packer.pending_bytes == 0
     assert packer.flush() is None
 
 
-def test_record_count_matches_simulator(rng):
+def test_pack_stops_at_packet_completing_max_records():
+    """Pending bytes and control frames count toward ``max_records``; the
+    packet that completes the last record is the last one taken."""
+    packer = RecordPacker()
+    packer.add(bytes(1024 - 9))  # pending, with one heartbeat: one packet's worth
+    pkts = iter([PktInfo(0, bytes(1013))] * 40)
+    out, taken = packer.pack([Frame(FRAME_HB_REQ, 1)], partial(next, pkts, None), max_records=2)
+    assert (len(out), taken) == (2, 31)
+    assert packer.pending_bytes == 0
+    assert len(list(pkts)) == 9
+    # an unfinished record does not stop the pass early
+    out, taken = packer.pack((), popper([PktInfo(0, bytes(1013))] * 3), max_records=1)
+    assert (out, taken) == ([], 3)
+
+
+def test_record_count_matches_simulator(rng, pack_items):
     for _ in range(50):
-        frames = [rand_frame(rng) for _ in range(rng.randint(0, 60))]
-        lens = [len(frame_encode(f)) for f in frames]
-        records = pack_stream(frames, flush=True)
+        items = [rand_item(rng) for _ in range(rng.randint(0, 60))]
+        lens = [len(ref_encode(x)) for x in items]
+        records = pack_flushed(pack_items, items)
         assert len(records) == pack_record_count(lens, flush=True)
 
 
 # ------------------------------------------------------------------ parsing
 
-def test_parse_cross_record_split():
+def test_parse_cross_record_split(pack_items):
     # pre-fill record 1 with 16284 bytes of prior frames: 12 x (11 + 1346)
-    prior = [Frame(FRAME_DATA, 0, bytes(1346))] * 12
-    big = Frame(FRAME_DATA, 99, bytes(range(256)) * 5 + bytes(220))  # 1500-byte payload
-    records = pack_stream(prior + [big], flush=True)
+    prior = [PktInfo(0, bytes(1346))] * 12
+    big = PktInfo(99, bytes(range(256)) * 5 + bytes(220))  # 1500-byte payload
+    records = pack_flushed(pack_items, prior + [big])
     assert len(records) == 2
     # the big frame is split 100 bytes / 1411 bytes across the two records
     parser = RecordParser()
@@ -149,34 +202,24 @@ def test_parse_oversize_len_malformed():
         RecordParser().feed(rec)
 
 
-def _feed_pkts_as_frames(parser: RecordParser, record: bytes) -> list[Frame]:
-    items, ctrl = parser.feed_pkts(record)
-    assert [i for i, x in enumerate(items) if type(x) is Frame] == ctrl
-    assert all(type(x) is PktInfo for i, x in enumerate(items) if i not in ctrl)
-    return [x if i in ctrl else Frame(FRAME_DATA, x.ts_us, x.data) for i, x in enumerate(items)]
-
-
 def test_parse_random_flush_points(rng):
-    """Both entry points give the sent frames; feed_pkts as PktInfo for data."""
+    """Both entry points give the sent items: PktInfo for data, Frame for
+    control, with feed_pkts listing where the control frames are."""
     for _ in range(30):
         parser = RecordParser()
         pkt_parser = RecordParser()
-        packer = RecordPacker()
         sent = []
         got = []
         got_pkts = []
         for _ in range(rng.randint(1, 5)):
-            chunk = [rand_frame(rng) for _ in range(rng.randint(0, 30))]
+            chunk = [rand_item(rng) for _ in range(rng.randint(0, 30))]
             sent.extend(chunk)
-            records = []
-            for f in chunk:
-                records.extend(packer.add(frame_encode(f)))
-            rec = packer.flush()
-            if rec is not None:
-                records.append(rec)
-            for r in records:
+            for r in ref_records(chunk):
                 got.extend(parser.feed(r))
-                got_pkts.extend(_feed_pkts_as_frames(pkt_parser, r))
+                items, ctrl = pkt_parser.feed_pkts(r)
+                assert [i for i, x in enumerate(items) if type(x) is Frame] == ctrl
+                assert all(type(x) is PktInfo for i, x in enumerate(items) if i not in ctrl)
+                got_pkts.extend(items)
         assert got == sent
         assert got_pkts == sent
 
@@ -269,11 +312,10 @@ def test_sequence_increments_by_one_per_record(keys, rng):
         assert opener.expected_seq == i + 1
 
 
-def test_full_round_trip_identity(keys, rng):
+def test_full_round_trip_identity(keys, rng, pack_items):
     """pack -> seal -> open -> parse is byte-exact, cross-record splits included."""
-    frames = [rand_frame(rng) for _ in range(300)]
+    items = [rand_item(rng) for _ in range(300)]
     sealer = keys.gateway_sealer()
     opener = keys.device_opener()
-    records = pack_stream(frames, flush=True)
-    out = parse_records(opener.open(sealer.seal(r)) for r in records)
-    assert out == frames
+    records = pack_flushed(pack_items, items)
+    assert parse_all(opener.open(sealer.seal(r)) for r in records) == items
